@@ -26,11 +26,15 @@ namespace {
 // Store
 // ---------------------------------------------------------------------------
 
+// Args: records held, index buckets.  The two 250k-record variants are one
+// live-rack shard of a 1M-key, 4-node run (perfbench's read_zipf): indexed
+// with the default partition_buckets floor, and sized by BucketsFor as
+// LiveNode sizes a prefilled shard.
 void BM_StoreGetHit(benchmark::State& state) {
+  const auto keys = static_cast<std::uint64_t>(state.range(0));
   PartitionConfig pc;
-  pc.buckets = 1 << 16;
+  pc.buckets = static_cast<std::size_t>(state.range(1));
   Partition part(pc);
-  const int keys = 100'000;
   for (Key k = 0; k < keys; ++k) {
     part.Put(k, SynthesizeValue(k, 40));
   }
@@ -41,7 +45,11 @@ void BM_StoreGetHit(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations());
 }
-BENCHMARK(BM_StoreGetHit);
+BENCHMARK(BM_StoreGetHit)
+    ->ArgNames({"records", "buckets"})
+    ->Args({100'000, 1 << 16})
+    ->Args({250'000, 1 << 12})
+    ->Args({250'000, static_cast<std::int64_t>(Partition::BucketsFor(250'000))});
 
 void BM_StorePut(benchmark::State& state) {
   PartitionConfig pc;
@@ -170,16 +178,19 @@ BENCHMARK(BM_WorkloadNext);
 // Symmetric cache + top-k
 // ---------------------------------------------------------------------------
 
+// Hit and miss probe the same 1000-entry cache, so the two differ only in
+// the probe's outcome, not in how much of the cache stays resident in CPU
+// caches.
 void BM_CacheProbeHit(benchmark::State& state) {
-  SymmetricCache cache(250'000);
+  SymmetricCache cache(1000);
   std::vector<Key> keys;
-  for (Key k = 0; k < 250'000; ++k) {
+  for (Key k = 0; k < 1000; ++k) {
     keys.push_back(k);
   }
   cache.InstallHotSet(keys);
   Rng rng(8);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(cache.Probe(rng.NextBounded(250'000)));
+    benchmark::DoNotOptimize(cache.Probe(rng.NextBounded(1000)));
   }
   state.SetItemsProcessed(state.iterations());
 }

@@ -1,5 +1,6 @@
 #include "src/runtime/live_node.h"
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <thread>
@@ -45,7 +46,15 @@ LiveNode::LiveNode(LiveRack* rack, NodeId id, WorkloadGenerator gen)
   }
 
   PartitionConfig pc;
+  // partition_buckets is a floor.  A prefilled shard holds its share of the
+  // keyspace from the start, so it is sized for that many records; every rank
+  // derives the same count from the same params.
   pc.buckets = p.partition_buckets;
+  if (p.prefill_store) {
+    const auto nodes = static_cast<std::uint64_t>(p.num_nodes);
+    const std::uint64_t records = (p.workload.keyspace + nodes - 1) / nodes;
+    pc.buckets = std::max(pc.buckets, Partition::BucketsFor(records));
+  }
   pc.node_id = id;
   const std::uint32_t value_bytes = p.workload.value_bytes;
   pc.synthesize = [value_bytes](Key key) { return SynthesizeValue(key, value_bytes); };

@@ -1,5 +1,6 @@
 #include "src/store/partition.h"
 
+#include <algorithm>
 #include <cstring>
 
 #include "src/common/atomic_copy.h"
@@ -7,28 +8,22 @@
 #include "src/common/hash.h"
 
 namespace cckvs {
-namespace {
-
-std::size_t RoundUpPow2(std::size_t n) {
-  std::size_t p = 1;
-  while (p < n) {
-    p <<= 1;
-  }
-  return p;
-}
-
-}  // namespace
 
 Partition::Partition(const PartitionConfig& config)
-    : config_(config),
-      bucket_mask_(RoundUpPow2(config.buckets < 2 ? 2 : config.buckets) - 1),
-      buckets_(bucket_mask_ + 1) {}
+    : config_(config), buckets_(std::max<std::size_t>(1, config.buckets)) {}
 
 Partition::~Partition() = default;
 
-Partition::Bucket& Partition::HomeBucket(Key key) const {
-  const std::uint64_t h = HashKey(key);
-  return const_cast<Bucket&>(buckets_[h & bucket_mask_]);
+std::size_t Partition::BucketsFor(std::size_t records) {
+  return std::max<std::size_t>(1, (records + kRecordsPerBucket - 1) / kRecordsPerBucket);
+}
+
+Partition::Bucket& Partition::HomeBucket(std::uint64_t hash) const {
+  // Multiply-shift range reduction of the hash's low 32 bits onto
+  // [0, bucket count): exact for any count, and independent of the tag, which
+  // TagOf takes from the top 16 bits.
+  const std::uint64_t low = static_cast<std::uint32_t>(hash);
+  return const_cast<Bucket&>(buckets_[(low * buckets_.size()) >> 32]);
 }
 
 std::uint16_t Partition::TagOf(std::uint64_t hash) const {
@@ -66,10 +61,9 @@ void Partition::WriteRecord(SlabAllocator::Ref ref, Key key, const Value& value,
 
 bool Partition::Get(Key key, Value* value, Timestamp* ts,
                     bool* cache_resident) const {
-  gets_.fetch_add(1, std::memory_order_relaxed);
   const std::uint64_t h = HashKey(key);
   const std::uint16_t tag = TagOf(h);
-  const Bucket& head = buckets_[h & bucket_mask_];
+  const Bucket& head = HomeBucket(h);
 
   while (true) {
     const std::uint32_t version = head.lock.ReadBegin();
@@ -225,10 +219,9 @@ void Partition::PutLocked(Bucket& head, Key key, std::uint16_t tag,
 }
 
 Timestamp Partition::Put(Key key, const Value& value) {
-  puts_.fetch_add(1, std::memory_order_relaxed);
   const std::uint64_t h = HashKey(key);
   const std::uint16_t tag = TagOf(h);
-  Bucket& head = buckets_[h & bucket_mask_];
+  Bucket& head = HomeBucket(h);
   SeqlockWriteGuard guard(head.lock);
   Timestamp ts{1, config_.node_id};
   std::uint8_t flags = 0;
@@ -245,7 +238,7 @@ Timestamp Partition::Put(Key key, const Value& value) {
 bool Partition::TryPut(Key key, const Value& value, Timestamp* ts) {
   const std::uint64_t h = HashKey(key);
   const std::uint16_t tag = TagOf(h);
-  Bucket& head = buckets_[h & bucket_mask_];
+  Bucket& head = HomeBucket(h);
   SeqlockWriteGuard guard(head.lock);
   Timestamp fresh{1, config_.node_id};
   if (AtomicSlot* found = FindSlot(head, key, tag); found != nullptr) {
@@ -256,7 +249,6 @@ bool Partition::TryPut(Key key, const Value& value, Timestamp* ts) {
     }
     fresh = Timestamp{hdr.clock + 1, config_.node_id};
   }
-  puts_.fetch_add(1, std::memory_order_relaxed);
   PutLocked(head, key, tag, value, fresh, 0);
   if (ts != nullptr) {
     *ts = fresh;
@@ -265,10 +257,9 @@ bool Partition::TryPut(Key key, const Value& value, Timestamp* ts) {
 }
 
 bool Partition::Apply(Key key, const Value& value, Timestamp ts) {
-  puts_.fetch_add(1, std::memory_order_relaxed);
   const std::uint64_t h = HashKey(key);
   const std::uint16_t tag = TagOf(h);
-  Bucket& head = buckets_[h & bucket_mask_];
+  Bucket& head = HomeBucket(h);
   SeqlockWriteGuard guard(head.lock);
   std::uint8_t flags = 0;
   if (AtomicSlot* found = FindSlot(head, key, tag); found != nullptr) {
@@ -287,7 +278,7 @@ bool Partition::Apply(Key key, const Value& value, Timestamp ts) {
 Partition::ResidentSnapshot Partition::MarkCacheResident(Key key) {
   const std::uint64_t h = HashKey(key);
   const std::uint16_t tag = TagOf(h);
-  Bucket& head = buckets_[h & bucket_mask_];
+  Bucket& head = HomeBucket(h);
   SeqlockWriteGuard guard(head.lock);
   ResidentSnapshot snap;
   if (AtomicSlot* found = FindSlot(head, key, tag); found != nullptr) {
@@ -313,7 +304,7 @@ Partition::ResidentSnapshot Partition::MarkCacheResident(Key key) {
 void Partition::ClearCacheResident(Key key) {
   const std::uint64_t h = HashKey(key);
   const std::uint16_t tag = TagOf(h);
-  Bucket& head = buckets_[h & bucket_mask_];
+  Bucket& head = HomeBucket(h);
   SeqlockWriteGuard guard(head.lock);
   AtomicSlot* found = FindSlot(head, key, tag);
   CCKVS_CHECK(found != nullptr);  // MarkCacheResident materialized the record
@@ -327,7 +318,7 @@ void Partition::ClearCacheResident(Key key) {
 bool Partition::Erase(Key key) {
   const std::uint64_t h = HashKey(key);
   const std::uint16_t tag = TagOf(h);
-  Bucket& head = buckets_[h & bucket_mask_];
+  Bucket& head = HomeBucket(h);
   SeqlockWriteGuard guard(head.lock);
   AtomicSlot* found = FindSlot(head, key, tag);
   if (found == nullptr) {
@@ -344,7 +335,7 @@ bool Partition::Erase(Key key) {
 bool Partition::Contains(Key key) const {
   const std::uint64_t h = HashKey(key);
   const std::uint16_t tag = TagOf(h);
-  const Bucket& head = buckets_[h & bucket_mask_];
+  const Bucket& head = HomeBucket(h);
   while (true) {
     const std::uint32_t version = head.lock.ReadBegin();
     bool found = false;
@@ -379,8 +370,6 @@ bool Partition::Contains(Key key) const {
 
 PartitionStats Partition::stats() const {
   PartitionStats s;
-  s.gets = gets_.load(std::memory_order_relaxed);
-  s.puts = puts_.load(std::memory_order_relaxed);
   s.misses = misses_.load(std::memory_order_relaxed);
   s.synthesized_gets = synthesized_.load(std::memory_order_relaxed);
   s.read_retries = retries_.load(std::memory_order_relaxed);

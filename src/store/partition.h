@@ -33,8 +33,9 @@
 namespace cckvs {
 
 struct PartitionConfig {
-  // Number of index buckets (rounded up to a power of two); each holds
-  // kWays entries plus overflow chaining.
+  // Number of index buckets, used exactly as given (0 reads as 1); each holds
+  // kWays entries plus overflow chaining.  Partition::BucketsFor sizes it
+  // from an expected record count.
   std::size_t buckets = 1 << 16;
   // Writer id stamped on plain Put()s (normally the owning node id).
   NodeId node_id = 0;
@@ -49,8 +50,6 @@ struct PartitionConfig {
 };
 
 struct PartitionStats {
-  std::uint64_t gets = 0;
-  std::uint64_t puts = 0;
   std::uint64_t misses = 0;            // GET of absent key, no synthesizer
   std::uint64_t synthesized_gets = 0;  // GET of absent key served synthetically
   std::uint64_t read_retries = 0;      // seqlock retry loops taken
@@ -123,12 +122,27 @@ class Partition {
   bool Contains(Key key) const;
   std::size_t size() const { return live_records_.load(std::memory_order_relaxed); }
 
+  // Head buckets in the index, and overflow buckets chained onto them so far.
+  std::size_t bucket_count() const { return buckets_.size(); }
+  std::size_t overflow_buckets() const {
+    return overflow_count_.load(std::memory_order_relaxed);
+  }
+
+  // Bucket count for a shard expected to hold `records` records: about five
+  // per 7-way bucket, so almost every key sits in its head bucket and a lookup
+  // touches one index cache line.
+  static std::size_t BucketsFor(std::size_t records);
+  // Index bucket layout: one bucket should be exactly one 64-byte line.
+  static constexpr std::size_t BucketBytes() { return sizeof(Bucket); }
+  static constexpr std::size_t BucketAlign() { return alignof(Bucket); }
+
   PartitionStats stats() const;
   // Slab counters backing this shard; thread-safe snapshot.
   SlabAllocator::Stats slab_stats() const { return slab_.stats(); }
 
  private:
   static constexpr int kWays = 7;
+  static constexpr std::size_t kRecordsPerBucket = 5;
   static constexpr std::uint32_t kNoOverflow = 0xffffffffu;
 
   // One index slot, decoded view.  The stored form is a single 64-bit word —
@@ -163,7 +177,9 @@ class Partition {
     void store(const Slot& s) { raw.store(PackSlot(s), std::memory_order_relaxed); }
   };
 
-  struct Bucket {
+  // One cache line: a probe that ends in its head bucket reads one line of
+  // index (the record itself lives in the slab).
+  struct alignas(64) Bucket {
     Seqlock lock;
     // Index into overflow chunks or kNoOverflow; read by the lock-free path.
     std::atomic<std::uint32_t> overflow{kNoOverflow};
@@ -180,7 +196,7 @@ class Partition {
   };
   static constexpr std::uint8_t kFlagCacheResident = 0x1;
 
-  Bucket& HomeBucket(Key key) const;
+  Bucket& HomeBucket(std::uint64_t hash) const;
   std::uint16_t TagOf(std::uint64_t hash) const;
 
   // Walks bucket + overflow chain; returns the slot holding `key` or nullptr.
@@ -197,7 +213,6 @@ class Partition {
                  Timestamp ts, std::uint8_t flags);
 
   PartitionConfig config_;
-  std::size_t bucket_mask_;
   std::vector<Bucket> buckets_;
   // Overflow buckets; grown under overflow_mu_, pointers resolved through a
   // fixed atomic array (same pattern as the slab chunks).
@@ -211,8 +226,6 @@ class Partition {
   SlabAllocator slab_;
   std::atomic<std::size_t> live_records_{0};
 
-  mutable std::atomic<std::uint64_t> gets_{0};
-  mutable std::atomic<std::uint64_t> puts_{0};
   mutable std::atomic<std::uint64_t> misses_{0};
   mutable std::atomic<std::uint64_t> synthesized_{0};
   mutable std::atomic<std::uint64_t> retries_{0};

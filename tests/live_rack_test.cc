@@ -358,5 +358,26 @@ TEST(LiveRackTest, EarlyStopStillSealsHistories) {
   EXPECT_EQ(rack.history().CheckPerKeyLinearizability(), "");
 }
 
+// A prefilled shard is sized for its share of the keyspace, with
+// partition_buckets as a floor: a miss then almost always ends in its head
+// bucket.  A shard that is not prefilled keeps partition_buckets as is.
+TEST(LiveRackTest, PrefilledShardsAreSizedToTheirRecords) {
+  LiveRackParams p = StressParams(ConsistencyModel::kSc);
+  p.workload.keyspace = 200'000;  // ~50k records a shard: 12 per default bucket
+  p.partition_buckets = 1 << 12;
+  p.prefill_store = true;
+  LiveRack rack(p);
+  for (NodeId id = 0; id < p.num_nodes; ++id) {
+    const Partition& shard = rack.node(id).partition();
+    EXPECT_GT(shard.size(), 45'000u);  // the partitioner hashes: shares are near even
+    EXPECT_EQ(shard.bucket_count(), Partition::BucketsFor(50'000));
+    EXPECT_LT(shard.overflow_buckets(), shard.bucket_count() / 4) << "node " << int{id};
+  }
+
+  p.prefill_store = false;
+  LiveRack lazy(p);
+  EXPECT_EQ(lazy.node(0).partition().bucket_count(), p.partition_buckets);
+}
+
 }  // namespace
 }  // namespace cckvs

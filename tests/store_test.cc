@@ -300,6 +300,92 @@ TEST(Partition, EraseFromOverflowChain) {
   }
 }
 
+static_assert(Partition::BucketBytes() == 64 && Partition::BucketAlign() == 64,
+              "an index bucket must be exactly one cache line");
+
+// Bucket counts are used exactly, not rounded to a power of two.  Each count
+// gets twice its inline capacity in keys, so every path below also walks
+// overflow chains.
+class PartitionBucketCountTest : public ::testing::TestWithParam<std::size_t> {};
+
+TEST_P(PartitionBucketCountTest, EveryOperationRoundTrips) {
+  PartitionConfig pc = SmallConfig();
+  pc.buckets = GetParam();
+  Partition part(pc);
+  EXPECT_EQ(part.bucket_count(), GetParam());
+  const Key keys = static_cast<Key>(GetParam() * 7 * 2 + 100);
+  auto val = [](const char* prefix, Key k) { return prefix + std::to_string(k); };
+
+  for (Key k = 0; k < keys; ++k) {
+    ASSERT_EQ(part.Put(k, val("put-", k)), (Timestamp{1, 3}));
+  }
+  EXPECT_EQ(part.size(), keys);
+  EXPECT_GT(part.overflow_buckets(), 0u);
+
+  Value v;
+  Timestamp ts;
+  bool resident = true;
+  for (Key k = 0; k < keys; ++k) {
+    ASSERT_TRUE(part.Get(k, &v, &ts, &resident)) << "key " << k;
+    ASSERT_EQ(v, val("put-", k));
+    ASSERT_FALSE(resident);
+    ASSERT_TRUE(part.TryPut(k, val("try-", k), &ts));
+    ASSERT_EQ(ts, (Timestamp{2, 3}));
+    ASSERT_TRUE(part.Apply(k, val("apply-", k), Timestamp{10, 5}));
+    ASSERT_FALSE(part.Apply(k, val("stale-", k), Timestamp{9, 5}));
+  }
+
+  for (Key k = 0; k < keys; k += 4) {
+    const Partition::ResidentSnapshot snap = part.MarkCacheResident(k);
+    ASSERT_EQ(snap.value, val("apply-", k));
+    ASSERT_EQ(snap.ts, (Timestamp{10, 5}));
+    ASSERT_FALSE(part.TryPut(k, val("refused-", k), &ts));
+  }
+  for (Key k = 0; k < keys; ++k) {
+    ASSERT_TRUE(part.Get(k, &v, &ts, &resident));
+    ASSERT_EQ(v, val("apply-", k)) << "key " << k;
+    ASSERT_EQ(resident, k % 4 == 0) << "key " << k;
+  }
+  for (Key k = 0; k < keys; k += 4) {
+    part.ClearCacheResident(k);
+    ASSERT_TRUE(part.TryPut(k, val("after-", k), &ts));
+    ASSERT_EQ(ts, (Timestamp{11, 3}));
+  }
+
+  for (Key k = 0; k < keys; k += 3) {
+    ASSERT_TRUE(part.Erase(k));
+  }
+  for (Key k = 0; k < keys; ++k) {
+    ASSERT_EQ(part.Contains(k), k % 3 != 0) << "key " << k;
+    if (k % 3 != 0) {
+      ASSERT_TRUE(part.Get(k, &v));
+      ASSERT_EQ(v, val(k % 4 == 0 ? "after-" : "apply-", k));
+    }
+  }
+  EXPECT_EQ(part.size(), keys - (keys + 2) / 3);
+}
+
+INSTANTIATE_TEST_SUITE_P(NonPowerOfTwo, PartitionBucketCountTest,
+                         ::testing::Values(1, 3, 1000, 4097));
+
+TEST(Partition, BucketsForKeepsKeysInTheirHeadBucket) {
+  EXPECT_EQ(Partition::BucketsFor(0), 1u);
+  EXPECT_EQ(Partition::BucketsFor(5), 1u);
+  EXPECT_EQ(Partition::BucketsFor(6), 2u);
+  EXPECT_EQ(Partition::BucketsFor(250'000), 50'000u);
+
+  // Filled to the count it was sized for, a shard chains few overflow buckets.
+  constexpr std::size_t kRecords = 20'000;
+  PartitionConfig pc = SmallConfig();
+  pc.buckets = Partition::BucketsFor(kRecords);
+  Partition part(pc);
+  for (Key k = 0; k < kRecords; ++k) {
+    part.Apply(k, "v", Timestamp{1, 0});
+  }
+  EXPECT_EQ(part.bucket_count(), 4'000u);
+  EXPECT_LT(part.overflow_buckets(), part.bucket_count() / 4);
+}
+
 TEST(Partition, ConcurrentReadersWithWriter) {
   // CRCW: one writer updates two keys with matching values; readers must never
   // observe a value inconsistent with the key (copy integrity under seqlock).
