@@ -1,19 +1,23 @@
 // google-benchmark microbenches for the data-plane components: the MICA-like
 // store (single- and multi-threaded CRCW), seqlocks, the Zipf sampler, the
-// symmetric cache probe path and the Space-Saving sketch.
+// symmetric cache probe path, the Space-Saving sketch and a transport-fabric
+// ping-pong per backend.
 //
 // These measure the real (wall-clock) cost of the concurrent data structures —
 // the part of the system that runs as genuine multithreaded code rather than
 // under the deterministic simulator.
 
 #include <benchmark/benchmark.h>
+#include <unistd.h>
 
 #include <atomic>
 #include <string>
+#include <thread>
 
 #include "src/cache/symmetric_cache.h"
 #include "src/common/rng.h"
 #include "src/common/zipf.h"
+#include "src/runtime/transport.h"
 #include "src/store/partition.h"
 #include "src/store/seqlock.h"
 #include "src/topk/space_saving.h"
@@ -221,6 +225,66 @@ void BM_SpaceSavingOffer(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_SpaceSavingOffer);
+
+// ---------------------------------------------------------------------------
+// Transport fabric
+// ---------------------------------------------------------------------------
+
+// One batch round trip between two endpoint threads, all in one process: this
+// thread ships a coalesced batch of two or three UpdateMsgs to node 1, whose
+// thread echoes a batch of the same size back.  Arg: the backend
+// (TransportKind: 0 inproc, 1 shm, 2 socket).  Both threads busy-poll, so the
+// time per iteration is the send + deliver + drain + dispatch path twice over,
+// without wakeups.
+void BM_FabricPingPong(benchmark::State& state) {
+  const auto kind = static_cast<TransportKind>(state.range(0));
+  LiveTransport::Config c;
+  c.num_nodes = 2;
+  c.coalescing = true;
+  c.channel_capacity = 256;
+  c.transport.kind = kind;
+  c.transport.shm_name = "/cckvs_bench_pingpong_" + std::to_string(getpid());
+  c.transport.shm_ring_bytes = 1 << 16;
+  LiveTransport t(c);
+  if (!t.ok()) {
+    state.SkipWithError(t.init_error().c_str());
+    return;
+  }
+  const auto ignore = [](NodeId, const WireBody&) {};
+  std::atomic<bool> stop{false};
+  std::thread echo([&] {
+    LiveTransport::Endpoint& ep = t.endpoint(1);
+    UpdateMsg reply{0, std::string(40, 'r'), Timestamp{0, 1}};
+    while (!stop.load(std::memory_order_relaxed)) {
+      const std::size_t n = ep.Poll(16, ignore);
+      for (std::size_t m = 0; m < n; ++m) {
+        reply.key = m;
+        ++reply.ts.clock;
+        ep.BroadcastUpdate(reply);
+      }
+      ep.FlushBatches(FlushCause::kBoundary);
+    }
+  });
+  LiveTransport::Endpoint& ep = t.endpoint(0);
+  UpdateMsg msg{0, std::string(40, 'v'), Timestamp{0, 0}};
+  for (auto _ : state) {
+    const std::size_t k = 2 + msg.ts.clock % 2;
+    for (std::size_t m = 0; m < k; ++m) {
+      msg.key = m;
+      ++msg.ts.clock;
+      ep.BroadcastUpdate(msg);
+    }
+    ep.FlushBatches(FlushCause::kBoundary);
+    for (std::size_t got = 0; got < k;) {
+      got += ep.Poll(16, ignore);
+    }
+  }
+  stop.store(true, std::memory_order_relaxed);
+  echo.join();
+  state.SetLabel(ToString(kind));
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_FabricPingPong)->Arg(0)->Arg(1)->Arg(2)->UseRealTime();
 
 }  // namespace
 }  // namespace cckvs

@@ -1,20 +1,28 @@
-// Bounded MPSC channel: the live runtime's stand-in for a UD queue pair.
+// Lock-free lanes for the in-process fabrics: the live runtime's stand-in for
+// a UD queue pair.
 //
-// Many producer threads (peer nodes posting protocol messages) feed one
-// consumer (the owning node's thread), which drains in batches — the live
-// analogue of sweeping a completion queue.  The bound plays the role of the
-// posted-receive depth in src/rdma/verbs.cc: the credit scheme in
-// runtime/transport.h is sized so that a channel never fills, and Push()
-// blocking on a full channel is only the correctness backstop (counted in
-// full_waits(), which a healthy run keeps at zero).
+// SpscRing is a bounded single-producer/single-consumer ring.  The inproc
+// fabric keeps one per (src, dst) lane — the node thread of src pushes, the
+// node thread of dst pops — so per-lane FIFO, the property the Lin protocol
+// needs between an invalidation and its update, holds by construction, and
+// no lock is taken on either side.  The same ring carries drained batches
+// back to the thread that owns them (fabric.h, "batch ownership").
 //
-// FIFO: the queue is globally ordered, so per-producer order is preserved —
-// the property the Lin protocol needs between an invalidation and its update.
+// The bound plays the role of the posted-receive depth in src/rdma/verbs.cc:
+// the credit scheme in runtime/transport.h is sized so that a lane never
+// fills, and a producer spinning on a full lane is only the correctness
+// backstop (counted as a full wait, which a healthy run keeps at zero).
 //
-// Storage is a fixed ring of `capacity` slots allocated once at construction
-// (a deque would deallocate blocks as the consumer drains).  Items move-assign
-// into slots and move out again, so the slots themselves — and, for WireBatch,
-// their recycled message buffers — never touch the allocator in steady state.
+// Storage is raw memory allocated once at construction; an item is
+// constructed in its slot on push and destroyed on pop.  Slots therefore
+// never hold an item between uses (a drained ring holds no WireBatch, warm or
+// cold), and pages of a large ring that traffic never reaches are never
+// touched.
+//
+// Doorbell parks one consumer over any number of such lanes.  Producers pay
+// one fence and one relaxed load per push; the mutex is taken only when the
+// consumer is actually parked, so the busy path is lock-free and a batch of N
+// messages wakes the consumer at most once.
 
 #ifndef CCKVS_RUNTIME_CHANNEL_H_
 #define CCKVS_RUNTIME_CHANNEL_H_
@@ -23,114 +31,128 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
+#include <memory>
 #include <mutex>
+#include <new>
 #include <utility>
-#include <vector>
 
 #include "src/common/check.h"
 
 namespace cckvs {
 
 template <typename T>
-class MpscChannel {
+class SpscRing {
  public:
-  explicit MpscChannel(std::size_t capacity)
-      : capacity_(capacity), storage_(capacity) {
+  explicit SpscRing(std::size_t capacity)
+      : capacity_(capacity), slots_(std::allocator<T>().allocate(capacity)) {
     CCKVS_CHECK_GE(capacity, std::size_t{1});
   }
-  MpscChannel(const MpscChannel&) = delete;
-  MpscChannel& operator=(const MpscChannel&) = delete;
+  ~SpscRing() {
+    const std::size_t tail = tail_.load(std::memory_order_acquire);
+    for (std::size_t i = head_.load(std::memory_order_relaxed); i != tail; ++i) {
+      slots_[i % capacity_].~T();
+    }
+    std::allocator<T>().deallocate(slots_, capacity_);
+  }
+  SpscRing(const SpscRing&) = delete;
+  SpscRing& operator=(const SpscRing&) = delete;
 
-  // Enqueues one item; blocks while the channel is full (backstop only — see
-  // the header comment).
-  void Push(T item) {
-    bool wake = false;
-    {
-      std::unique_lock<std::mutex> lock(mu_);
-      if (Size() >= capacity_) {
-        full_waits_.fetch_add(1, std::memory_order_relaxed);
-        not_full_.wait(lock, [this] { return Size() < capacity_; });
+  // Producer only.  Moves `item` into the ring; false (item untouched) when
+  // the ring is full.
+  bool TryPush(T&& item) {
+    const std::size_t tail = tail_.load(std::memory_order_relaxed);
+    if (tail - head_seen_ == capacity_) {
+      head_seen_ = head_.load(std::memory_order_acquire);
+      if (tail - head_seen_ == capacity_) {
+        return false;
       }
-      storage_[tail_ % capacity_] = std::move(item);
-      ++tail_;
-      pushes_.fetch_add(1, std::memory_order_relaxed);
-      // Notify only when the consumer is actually parked in WaitDrain.  The
-      // consumer sets waiting_ under this mutex before sleeping and re-checks
-      // its predicate under it, so a skipped notify can never be a lost
-      // wakeup — it just spares the syscall on the (common) non-idle path.
-      // One push is one potential wakeup, so a coalesced batch of N messages
-      // wakes the receiver at most once; wakeups() makes that observable.
-      wake = waiting_;
+    }
+    new (&slots_[tail % capacity_]) T(std::move(item));
+    tail_.store(tail + 1, std::memory_order_release);
+    return true;
+  }
+
+  // Consumer only.  Hands up to `max` items, oldest first, to fn(T&&) and
+  // returns how many; the freed slots are published once, after the last.
+  template <typename Fn>
+  std::size_t Consume(std::size_t max, Fn&& fn) {
+    const std::size_t head = head_.load(std::memory_order_relaxed);
+    if (head == tail_seen_) {
+      tail_seen_ = tail_.load(std::memory_order_acquire);
+    }
+    std::size_t n = 0;
+    for (std::size_t i = head; i != tail_seen_ && n < max; ++i, ++n) {
+      T& slot = slots_[i % capacity_];
+      fn(std::move(slot));
+      slot.~T();
+    }
+    if (n > 0) {
+      head_.store(head + n, std::memory_order_release);
+    }
+    return n;
+  }
+
+  // Any thread; a snapshot.  The consumer uses it as its park predicate.
+  bool empty() const { return size() == 0; }
+  std::size_t size() const {
+    return tail_.load(std::memory_order_acquire) -
+           head_.load(std::memory_order_acquire);
+  }
+
+ private:
+  const std::size_t capacity_;
+  T* const slots_;
+  // Free-running counters on separate lines; each side caches the other's
+  // counter and re-reads it only when the cached value says full/empty.
+  alignas(64) std::atomic<std::size_t> head_{0};  // consumer-owned
+  std::size_t tail_seen_ = 0;                     // consumer's copy of tail_
+  alignas(64) std::atomic<std::size_t> tail_{0};  // producer-owned
+  std::size_t head_seen_ = 0;                     // producer's copy of head_
+};
+
+class Doorbell {
+ public:
+  // Producer, after publishing an item.  The fence pairs with Wait's: either
+  // this load sees the consumer parked, or the consumer's readiness check
+  // sees the item — never neither, so a skipped notify is never a lost
+  // wakeup.
+  void Ring() {
+    std::atomic_thread_fence(std::memory_order_seq_cst);
+    if (!parked_.load(std::memory_order_relaxed)) {
+      return;
+    }
+    bool wake;
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      wake = parked_.load(std::memory_order_relaxed);
       if (wake) {
         wakeups_.fetch_add(1, std::memory_order_relaxed);
       }
     }
     if (wake) {
-      not_empty_.notify_one();
+      cv_.notify_one();
     }
   }
 
-  // Moves up to `max` items into *out (appended).  Non-blocking; returns the
-  // number moved.  Single consumer only.
-  std::size_t TryDrain(std::vector<T>* out, std::size_t max) {
+  // Consumer only.  Sleeps until ready() holds or `timeout` elapses.
+  template <typename Ready>
+  void Wait(std::chrono::microseconds timeout, Ready&& ready) {
     std::unique_lock<std::mutex> lock(mu_);
-    return DrainLocked(out, max);
+    parked_.store(true, std::memory_order_relaxed);
+    std::atomic_thread_fence(std::memory_order_seq_cst);
+    cv_.wait_for(lock, timeout, ready);
+    parked_.store(false, std::memory_order_relaxed);
   }
 
-  // Waits up to `timeout` for at least one item, then drains like TryDrain.
-  std::size_t WaitDrain(std::vector<T>* out, std::size_t max,
-                        std::chrono::microseconds timeout) {
-    std::unique_lock<std::mutex> lock(mu_);
-    waiting_ = true;
-    not_empty_.wait_for(lock, timeout, [this] { return Size() > 0; });
-    waiting_ = false;
-    return DrainLocked(out, max);
-  }
-
-  std::size_t size() const {
-    std::unique_lock<std::mutex> lock(mu_);
-    return Size();
-  }
-
-  std::size_t capacity() const { return capacity_; }
-  std::uint64_t pushes() const { return pushes_.load(std::memory_order_relaxed); }
-  std::uint64_t full_waits() const {
-    return full_waits_.load(std::memory_order_relaxed);
-  }
-  // notify_one calls actually issued (a producer found the consumer parked).
+  // Notifies actually issued (a producer found the consumer parked).
   std::uint64_t wakeups() const {
     return wakeups_.load(std::memory_order_relaxed);
   }
 
  private:
-  std::size_t Size() const { return tail_ - head_; }
-
-  std::size_t DrainLocked(std::vector<T>* out, std::size_t max) {
-    std::size_t moved = 0;
-    const bool was_full = Size() >= capacity_;
-    while (Size() > 0 && moved < max) {
-      // Moving out leaves the slot empty (no heap to free), so the next
-      // Push's move-assign into it deallocates nothing.
-      out->push_back(std::move(storage_[head_ % capacity_]));
-      ++head_;
-      ++moved;
-    }
-    if (was_full && moved > 0) {
-      not_full_.notify_all();  // several producers may be parked
-    }
-    return moved;
-  }
-
-  const std::size_t capacity_;
-  mutable std::mutex mu_;
-  std::condition_variable not_full_;
-  std::condition_variable not_empty_;
-  std::vector<T> storage_;    // fixed ring; live range is [head_, tail_)
-  std::size_t head_ = 0;      // free-running consumer counter (guarded by mu_)
-  std::size_t tail_ = 0;      // free-running producer counter (guarded by mu_)
-  bool waiting_ = false;  // consumer parked in WaitDrain (guarded by mu_)
-  std::atomic<std::uint64_t> pushes_{0};
-  std::atomic<std::uint64_t> full_waits_{0};
+  std::mutex mu_;
+  std::condition_variable cv_;
+  std::atomic<bool> parked_{false};  // written under mu_, read lock-free
   std::atomic<std::uint64_t> wakeups_{0};
 };
 

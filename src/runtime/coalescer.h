@@ -1,14 +1,14 @@
 // Message coalescing for the live fabric: the layer between the consistency
-// engines and the MPSC channels (the live analogue of §8.5 request
+// engines and the fabric lanes (the live analogue of §8.5 request
 // coalescing, which the simulator models via RackParams::coalescing).
 //
-// The live rack's channels are mutex-guarded; without coalescing every
-// protocol message pays one lock acquisition at the sender and wakes the
-// receiver once.  The paper's insight transfers directly: messages to the
-// same destination can share a "packet".  Here the packet is a WireBatch —
-// one channel push carrying N WireBody messages and a single source id (the
-// live analogue of header amortization: the per-message src byte and the
-// per-push lock/notify are paid once per batch).
+// Without coalescing every protocol message pays one lane push (or one
+// serialized frame) at the sender and may wake the receiver once.  The
+// paper's insight transfers directly: messages to the same destination can
+// share a "packet".  Here the packet is a WireBatch — one fabric delivery
+// carrying N WireBody messages and a single source id (the live analogue of
+// header amortization: the per-message src byte and the per-delivery
+// push/notify are paid once per batch).
 //
 // Send side: SendCoalescer keeps one open batch per peer.  Messages append
 // in send order, so per-peer FIFO — which the Lin protocol (invalidation
@@ -50,7 +50,6 @@
 #include <algorithm>
 #include <cstdint>
 #include <functional>
-#include <mutex>
 #include <utility>
 #include <variant>
 #include <vector>
@@ -145,8 +144,8 @@ class WireBatch {
   // the slot vector to `slots` entries and reserves `value_bytes` of string
   // capacity in each (slots default to UpdateMsg — the variant's first
   // alternative and the only steady-state value carrier).  Idempotent on a
-  // warm batch.  WireBatchPool::Prewarm uses this at fabric init so a
-  // measured window never observes first-touch warm-up allocations.
+  // warm batch.  WireBatchPool::Prewarm uses this at endpoint construction so
+  // a measured window never observes first-touch warm-up allocations.
   void Warm(std::size_t slots, std::size_t value_bytes) {
     if (slots_.size() < slots) {
       slots_.reserve(slots);
@@ -191,17 +190,16 @@ class WireBatch {
   std::size_t count_ = 0;
 };
 
-// Free list of warm WireBatches, shared by every endpoint of one fabric.
-// Batches cross threads (sender fills, receiver drains, receiver recycles),
-// so a recycled batch's warmed slot capacity serves whichever sender next
-// acquires it.  Mutex-guarded: one Acquire per batch sent and one Recycle per
-// batch drained is far off the per-message hot path.
+// LIFO free list of warm WireBatches, private to one thread: every transport
+// endpoint owns one (and so does a socket fabric's receive thread), so
+// Acquire and Recycle are plain vector operations with no lock.  A batch the
+// fabric hands to another thread comes back to its owner's list through the
+// fabric (TransportFabric::Release/Reclaim), never through a shared list.
 class WireBatchPool {
  public:
   WireBatchPool() { free_.reserve(cap_); }
 
   WireBatch Acquire() {
-    std::lock_guard<std::mutex> lock(mu_);
     if (free_.empty()) {
       return WireBatch{};
     }
@@ -212,20 +210,17 @@ class WireBatchPool {
 
   void Recycle(WireBatch&& batch) {
     batch.clear();
-    std::lock_guard<std::mutex> lock(mu_);
     if (free_.size() < cap_) {
       free_.push_back(std::move(batch));
     }
   }
 
-  // Stocks the pool with `count` fully-warm batches (WireBatch::Warm) and
-  // raises the retention cap to hold them.  Called once at fabric init,
-  // before any node thread starts: with `count` at least the transport's
-  // maximum simultaneously-circulating batch count, Acquire never hands out
-  // a cold batch and the steady state is allocation-free rather than merely
-  // amortized-allocation-free.
+  // Stocks the list with `count` fully-warm batches (WireBatch::Warm) and
+  // raises the retention cap to hold them.  Called before the owning thread
+  // starts: with `count` at least the owner's maximum number of batches in
+  // circulation, Acquire never hands out a cold batch and the steady state is
+  // allocation-free rather than merely amortized-allocation-free.
   void Prewarm(std::size_t count, std::size_t slots, std::size_t value_bytes) {
-    std::lock_guard<std::mutex> lock(mu_);
     cap_ = std::max(cap_, count);
     free_.reserve(cap_);
     while (free_.size() < count) {
@@ -235,8 +230,10 @@ class WireBatchPool {
     }
   }
 
+  bool empty() const { return free_.empty(); }
+  std::size_t size() const { return free_.size(); }
+
  private:
-  std::mutex mu_;
   std::size_t cap_ = 1024;  // retention cap: a full rack's churn fits
   std::vector<WireBatch> free_;
 };
@@ -279,8 +276,8 @@ struct CoalescerConfig {
   // Monotonic clock, injectable for tests; required when flush_deadline_ns>0.
   std::function<std::uint64_t()> now_ns;
   // When set, Take() swaps in recycled batches from this pool instead of
-  // default-constructing (the zero-alloc path).  Null (unit tests) falls back
-  // to fresh batches.
+  // default-constructing (the zero-alloc path).  The pool belongs to the
+  // coalescer's owning thread.  Null (unit tests) falls back to fresh batches.
   WireBatchPool* pool = nullptr;
   // When warm_slots > 0, the per-peer open batches are pre-warmed at
   // construction (WireBatch::Warm).  Without this the initial open batches

@@ -1,6 +1,8 @@
 #include "src/runtime/fabric.h"
 
 #include <atomic>
+#include <cstdint>
+#include <thread>
 #include <utility>
 
 #include "src/common/check.h"
@@ -11,34 +13,75 @@
 namespace cckvs {
 namespace {
 
-// The original single-process transport, behind the interface: one
-// MpscChannel per node, a credit matrix of atomics, one shared inflight
-// counter.  Batches move by value — no serialization on this path, which is
-// what makes inproc the baseline the byte-moving backends are diffed against.
+// The single-process transport: one lock-free SPSC ring per (src,dst) lane, a
+// doorbell per node, a credit matrix of atomics, one shared inflight counter.
+// Batches move by value — no serialization on this path, which is what makes
+// inproc the baseline the byte-moving backends are diffed against — and so
+// each lane also carries a return ring that brings drained batches back to
+// the sender that owns them (fabric.h, "batch ownership").
 class InprocFabric final : public TransportFabric {
  public:
   explicit InprocFabric(const FabricConfig& config)
       : num_nodes_(config.num_nodes),
         returned_(static_cast<std::size_t>(config.num_nodes) * config.num_nodes) {
-    inboxes_.reserve(static_cast<std::size_t>(num_nodes_));
-    for (int i = 0; i < num_nodes_; ++i) {
-      inboxes_.push_back(
-          std::make_unique<MpscChannel<WireBatch>>(config.channel_capacity));
+    const auto n = static_cast<std::size_t>(num_nodes_);
+    // Self-lanes exist but stay unused (a node never delivers to itself);
+    // their ring storage is never touched.
+    lanes_.reserve(n * n);
+    for (std::size_t i = 0; i < n * n; ++i) {
+      lanes_.push_back(std::make_unique<Lane>(config.channel_capacity));
+    }
+    doorbells_.reserve(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      doorbells_.push_back(std::make_unique<Doorbell>());
     }
   }
 
-  void Deliver(NodeId to, WireBatch&& batch) override {
-    inboxes_[to]->Push(std::move(batch));
+  void Deliver(NodeId to, WireBatch&& batch, WireBatchPool* pool) override {
+    (void)pool;  // the batch itself travels; Release brings it back
+    Lane& lane = GetLane(batch.src, to);
+    if (!lane.batches.TryPush(std::move(batch))) {
+      lane.full_waits.fetch_add(1, std::memory_order_relaxed);
+      while (!lane.batches.TryPush(std::move(batch))) {
+        std::this_thread::sleep_for(std::chrono::microseconds(50));
+      }
+    }
+    lane.pushes.fetch_add(1, std::memory_order_relaxed);
+    doorbells_[to]->Ring();
   }
 
-  std::size_t Drain(NodeId self, std::vector<WireBatch>* out,
-                    std::size_t max) override {
-    return inboxes_[self]->TryDrain(out, max);
+  std::size_t Drain(NodeId self, std::vector<WireBatch>* out, std::size_t max,
+                    WireBatchPool* pool) override {
+    (void)pool;
+    const auto append = [out](WireBatch&& b) { out->push_back(std::move(b)); };
+    std::size_t moved = 0;
+    for (int src = 0; src < num_nodes_ && moved < max; ++src) {
+      if (src != self) {
+        Lane& lane = GetLane(static_cast<NodeId>(src), self);
+        moved += lane.batches.Consume(max - moved, append);
+      }
+    }
+    return moved;
+  }
+
+  void Release(NodeId self, WireBatch&& batch, WireBatchPool* pool) override {
+    Lane& lane = GetLane(batch.src, self);
+    if (!lane.returns.TryPush(std::move(batch))) {
+      pool->Recycle(std::move(batch));  // backstop: ownership moves to self
+    }
+  }
+
+  void Reclaim(NodeId self, WireBatchPool* pool) override {
+    const auto recycle = [pool](WireBatch&& b) { pool->Recycle(std::move(b)); };
+    for (int dst = 0; dst < num_nodes_; ++dst) {
+      if (dst != self) {
+        GetLane(self, static_cast<NodeId>(dst)).returns.Consume(SIZE_MAX, recycle);
+      }
+    }
   }
 
   void Wait(NodeId self, std::chrono::microseconds timeout) override {
-    std::vector<WireBatch> none;
-    inboxes_[self]->WaitDrain(&none, /*max=*/0, timeout);  // wakes on arrival
+    doorbells_[self]->Wait(timeout, [this, self] { return InboundDepth(self) > 0; });
   }
 
   void ReturnCredits(NodeId self, NodeId to, int n) override {
@@ -62,22 +105,49 @@ class InprocFabric final : public TransportFabric {
   }
 
   FabricStats stats(NodeId self) const override {
-    const MpscChannel<WireBatch>& inbox = *inboxes_[self];
-    return FabricStats{inbox.pushes(), inbox.full_waits(), inbox.wakeups()};
+    FabricStats s;
+    for (int src = 0; src < num_nodes_; ++src) {
+      if (src != self) {
+        const Lane& lane = GetLane(static_cast<NodeId>(src), self);
+        s.pushes += lane.pushes.load(std::memory_order_relaxed);
+        s.full_waits += lane.full_waits.load(std::memory_order_relaxed);
+      }
+    }
+    s.wakeups = doorbells_[self]->wakeups();
+    return s;
   }
 
   std::uint64_t InboundDepth(NodeId self) const override {
-    return inboxes_[self]->size();
+    std::uint64_t depth = 0;
+    for (int src = 0; src < num_nodes_; ++src) {
+      if (src != self) {
+        depth += GetLane(static_cast<NodeId>(src), self).batches.size();
+      }
+    }
+    return depth;
   }
 
  private:
+  struct Lane {
+    explicit Lane(std::size_t capacity) : batches(capacity), returns(capacity) {}
+    SpscRing<WireBatch> batches;  // src pushes, dst drains
+    SpscRing<WireBatch> returns;  // dst releases drained batches, src reclaims
+    std::atomic<std::uint64_t> pushes{0};
+    std::atomic<std::uint64_t> full_waits{0};
+  };
+
+  Lane& GetLane(NodeId src, NodeId dst) const {
+    return *lanes_[static_cast<std::size_t>(src) * num_nodes_ + dst];
+  }
+
   // Credits peers have returned to `sender`, per returning peer.
   std::atomic<int>& Cell(NodeId sender, NodeId returner) {
     return returned_[static_cast<std::size_t>(sender) * num_nodes_ + returner];
   }
 
   const int num_nodes_;
-  std::vector<std::unique_ptr<MpscChannel<WireBatch>>> inboxes_;
+  std::vector<std::unique_ptr<Lane>> lanes_;  // [src][dst]
+  std::vector<std::unique_ptr<Doorbell>> doorbells_;
   std::vector<std::atomic<int>> returned_;
   std::atomic<std::uint64_t> inflight_{0};
 };

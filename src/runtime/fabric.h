@@ -2,13 +2,15 @@
 //
 // Everything above this interface — SendCoalescer batching, §6.3 credit
 // pools, per-peer FIFO parking, the engines, the epoch gate+barrier, the
-// SC/Lin checkers — is backend-agnostic.  The fabric owns exactly the five
+// SC/Lin checkers — is backend-agnostic.  The fabric owns exactly the
 // cross-endpoint touchpoints the in-process transport used to reach through
 // shared memory for:
 //
 //   * Deliver / Drain / Wait   — move one WireBatch from src to dst, FIFO per
 //                                (src, dst) lane, wake a parked consumer at
 //                                most once per batch;
+//   * Release / Reclaim        — bring a drained batch back to the thread
+//                                that owns it (see "batch ownership");
 //   * ReturnCredits / TakeReturnedCredits — the header-only credit-update
 //                                ride (an atomic add in-process, a credit
 //                                frame on the wire);
@@ -16,8 +18,8 @@
 //
 // Backends:
 //
-//   kInproc  — MpscChannel per node + atomic credit matrix; the original
-//              single-process transport, now behind the interface.
+//   kInproc  — a lock-free SPSC ring per (src,dst) lane plus a doorbell per
+//              node, and an atomic credit matrix; single process.
 //   kShm     — one mmap'd region: per-(src,dst) SPSC byte rings carrying
 //              serialized frames, process-shared doorbells, credit matrix and
 //              inflight counter in the region.  Same-host multi-process.
@@ -26,6 +28,30 @@
 //              mode spans hosts, so inflight() is process-local there and
 //              ranked racks terminate via the counting protocol
 //              (control_messages.h) instead.
+//
+// Batch ownership.  Every WireBatch belongs to exactly one thread's
+// WireBatchPool — an unsynchronised free list — so no free list is shared
+// between node threads, and delivering or draining a batch takes no lock (a
+// doorbell mutex only when the consumer is parked).  The caller passes its
+// own pool to every call that can produce or retire a batch:
+//
+//   kShm     — no batch object crosses threads.  Deliver serializes the
+//              sender's batch and recycles it into the sender's pool at once;
+//              Drain decodes into batches from the receiver's pool, and
+//              Release recycles them there.
+//   kSocket  — the send side is kShm's.  The receive thread decodes into its
+//              own pool and pushes the batches to their node's inbox; Release
+//              returns each through an SPSC ring to the receive thread, which
+//              reclaims them when its pool runs dry.
+//   kInproc  — the batch object itself moves from sender to receiver.
+//              Release pushes it onto the lane's SPSC return ring (receiver
+//              produces, sender consumes), and the sender's Reclaim — called
+//              when its pool runs dry — moves everything returned back into
+//              its pool.
+//
+// A return ring that is full (a backstop the rings are sized never to reach)
+// hands the batch to the releasing thread's pool instead: ownership moves, but
+// the batch stays single-owner.
 //
 // A fabric is "all-in-one" (rank < 0: this process owns every endpoint — the
 // conformance tests and classic single-process racks) or "ranked" (rank >= 0:
@@ -41,6 +67,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/common/types.h"
@@ -49,7 +76,7 @@
 namespace cckvs {
 
 enum class TransportKind : std::uint8_t {
-  kInproc = 0,  // MPSC channels, single process
+  kInproc = 0,  // lock-free in-memory lanes, single process
   kShm,         // shared-memory SPSC rings, same-host multi-process
   kSocket,      // UDS/TCP streams, multi-host
 };
@@ -99,8 +126,9 @@ struct TransportOptions {
 
 struct FabricConfig {
   int num_nodes = 0;
-  // Inbox bound, in batches (inproc/socket local inboxes; the shm backend's
-  // bound is ring bytes instead and full_waits counts ring-full stalls).
+  // Inbox bound, in batches: per (src,dst) lane for inproc, per node for the
+  // socket backend's local inboxes.  The shm backend's bound is ring bytes
+  // instead, and full_waits counts ring-full stalls.
   std::size_t channel_capacity = 4096;
 };
 
@@ -119,14 +147,32 @@ class TransportFabric {
   virtual ~TransportFabric() = default;
 
   // Delivers one batch into `to`'s inbox, preserving per-(src,dst) FIFO.
-  // Called only by the owning thread of endpoint batch.src (single writer per
-  // lane).  May block when the inbox/ring is full (backstop; counted).
-  virtual void Deliver(NodeId to, WireBatch&& batch) = 0;
+  // Called only by the owning thread of endpoint batch.src, with that
+  // endpoint's pool (batch ownership above).  May block when the inbox/ring
+  // is full (backstop; counted).
+  virtual void Deliver(NodeId to, WireBatch&& batch, WireBatchPool* pool) = 0;
 
   // Moves up to `max` batches from self's inbox into *out (appended).
-  // Non-blocking.  Owning thread of `self` only.
+  // Non-blocking.  Owning thread of `self` only; decoding fabrics decode into
+  // batches from *pool, self's own.
   virtual std::size_t Drain(NodeId self, std::vector<WireBatch>* out,
-                            std::size_t max) = 0;
+                            std::size_t max, WireBatchPool* pool) = 0;
+
+  // Retires one batch Drain produced, once its messages are dispatched: back
+  // to the thread that owns it.  Owning thread of `self` only.  The default
+  // (fabrics that decode into the receiver's batches) recycles into *pool.
+  virtual void Release(NodeId self, WireBatch&& batch, WireBatchPool* pool) {
+    (void)self;
+    pool->Recycle(std::move(batch));
+  }
+
+  // Moves self's batches that receivers have released back into *pool.  A
+  // no-op where no batch crosses threads.  Owning thread of `self` only;
+  // endpoints call it when their pool runs dry.
+  virtual void Reclaim(NodeId self, WireBatchPool* pool) {
+    (void)self;
+    (void)pool;
+  }
 
   // Sleeps until a batch lands in self's inbox or `timeout` elapses.  A
   // delivery concurrent with parking must wake the sleeper (no lost wakeup).
@@ -156,11 +202,6 @@ class TransportFabric {
     return 0;
   }
 
-  // Shared free list of warm WireBatches: senders Acquire on Take, receivers
-  // Recycle after Poll dispatches — the arena that makes the steady-state
-  // message path allocation-free.
-  WireBatchPool& batch_pool() { return batch_pool_; }
-
   // True when inflight() is a rack-global count usable as the drain-phase
   // exit condition.  Ranked socket fabrics return false; those racks
   // terminate via the counting protocol instead.
@@ -177,9 +218,6 @@ class TransportFabric {
   // Stops background machinery (rx threads, doorbell waiters) so endpoints
   // can be torn down.  Idempotent; called before destruction.
   virtual void Shutdown() {}
-
- private:
-  WireBatchPool batch_pool_;
 };
 
 // Builds the backend named by `opts.kind`.  Blocks until the fabric is ready

@@ -38,16 +38,16 @@ LiveTransport::Config TransportConfig(const LiveRackParams& p) {
   c.transport = p.transport;
   if (p.track_allocs) {
     // Zero-alloc audit runs must never hand a cold batch to a node inside
-    // its measured window, so stock the pool to the worst-case circulating
-    // count: every inbound ring full of batches, plus each endpoint's open
-    // per-peer batches and poll scratch.  Cold-start warm-up is one-time per
-    // batch slot and therefore harmless in normal runs; in an audited window
-    // it reads as a (false) steady-state allocation.
-    c.prewarm_batches =
-        static_cast<std::size_t>(p.num_nodes) * c.channel_capacity +
-        static_cast<std::size_t>(p.num_nodes) *
-            static_cast<std::size_t>(p.num_nodes) +
-        64;
+    // its measured window, so stock each endpoint's pool to the most batches
+    // it can have in circulation.  Inproc: every batch it has in flight, and
+    // its outbound messages obey the same per-peer bound that sizes an inbox
+    // above.  Shm/socket send sides recycle at once; the shm receive side
+    // decodes at most one drain's worth into its own batches.  Either way one
+    // channel_capacity, plus the open per-peer batches and some slack.
+    // Cold-start warm-up is one-time per batch slot and therefore harmless in
+    // normal runs; in an audited window it reads as a (false) steady-state
+    // allocation.
+    c.prewarm_batches = c.channel_capacity + static_cast<std::size_t>(p.num_nodes) + 64;
     c.prewarm_value_bytes = p.workload.value_bytes;
   }
   return c;

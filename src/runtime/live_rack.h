@@ -4,7 +4,7 @@
 // LiveRack *executes* the same store/cache/protocol code on real hardware
 // threads: per-node store::Partition shards reached cross-thread through the
 // CRCW seqlock path, per-node SymmetricCache + Sc/LinEngine driven only by
-// the owning thread, and protocol traffic over bounded MPSC channels with
+// the owning thread, and protocol traffic over bounded lock-free lanes with
 // credit-based backpressure (runtime/transport.h).  This is the "fast as the
 // hardware allows" axis the simulator cannot measure — and the concurrency
 // stress the TSan CI job exists for.

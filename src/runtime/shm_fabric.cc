@@ -11,14 +11,19 @@
 // tail; the consumer (owning thread of dst) owns head; head/tail are free-
 // running byte counters, so full/empty are exact and no slot is wasted.
 //
-// Lost-wakeup argument (mirrors MpscChannel): the producer publishes tail
-// with release order, then takes the consumer's doorbell mutex and signals
-// only if `parked` is set.  The consumer sets `parked` under that mutex and
-// re-checks every lane before sleeping.  Whichever side takes the mutex
-// second sees the other's write — either the producer sees parked=1 and
-// signals, or the consumer sees the new tail and never sleeps.  One frame
-// signals at most once: wakeup-once-per-batch, as the conformance suite
-// demands.
+// Lost-wakeup argument (mirrors channel.h's Doorbell): the producer publishes
+// tail with release order, issues a seq_cst fence and reads `parked`; the
+// consumer sets `parked` under its doorbell mutex, issues the same fence and
+// re-checks every lane before sleeping.  The fences order the two stores
+// against the two loads, so either the producer sees parked=1 — it then takes
+// the mutex, re-checks `parked` and signals — or the consumer sees the new
+// tail and never sleeps.  A producer that finds nobody parked takes no lock
+// at all.  One frame signals at most once: wakeup-once-per-batch, as the
+// conformance suite demands.
+//
+// Batches never cross threads here (fabric.h, "batch ownership"): Deliver
+// serializes the sender's batch and recycles it into the sender's pool, and
+// Drain decodes into the receiver's own batches.
 //
 // A full ring is the §6.3 backstop, not a steady state (credits bound bytes
 // in flight); the producer counts one full_wait and spins with short sleeps
@@ -62,7 +67,7 @@ struct ShmHeader {
 struct alignas(kAlign) ShmDoorbell {
   pthread_mutex_t mu;
   pthread_cond_t cv;
-  std::uint32_t parked;  // guarded by mu
+  std::atomic<std::uint32_t> parked;  // written under mu, read lock-free
   std::atomic<std::uint64_t> pushes;
   std::atomic<std::uint64_t> full_waits;
   std::atomic<std::uint64_t> wakeups;
@@ -115,7 +120,17 @@ class ShmFabric final : public TransportFabric {
         creator_(opts.rank <= 0),
         name_(opts.shm_name),
         tx_scratch_(static_cast<std::size_t>(config.num_nodes)),
-        rx_scratch_(static_cast<std::size_t>(config.num_nodes)) {}
+        rx_scratch_(static_cast<std::size_t>(config.num_nodes)) {
+    // A frame never exceeds its lane, so scratch reserved to the lane size
+    // can never grow: the codec path is allocation-free from the first batch.
+    // Only the pages a frame actually reaches are ever touched.
+    for (Buffer& b : tx_scratch_) {
+      b.reserve(ring_bytes_);
+    }
+    for (Buffer& b : rx_scratch_) {
+      b.reserve(ring_bytes_);
+    }
+  }
 
   ~ShmFabric() override {
     if (base_ != nullptr) {
@@ -188,14 +203,14 @@ class ShmFabric final : public TransportFabric {
     return true;
   }
 
-  void Deliver(NodeId to, WireBatch&& batch) override {
+  void Deliver(NodeId to, WireBatch&& batch, WireBatchPool* pool) override {
     const NodeId src = batch.src;
     // Per-src serialize scratch: in all-in-one mode every node thread
     // delivers through this one fabric object, each as a distinct src.
     Buffer& buf = tx_scratch_[src];
     buf.clear();
     SerializeWireBatch(batch, &buf);
-    batch_pool().Recycle(std::move(batch));  // bytes are out; rewarm the slots
+    pool->Recycle(std::move(batch));  // bytes are out; the sender reuses it
     const std::uint64_t frame = 4 + buf.size();
     CCKVS_CHECK_LT(frame, ring_bytes_);  // a frame must fit the lane
     RingHdr* r = ring_hdr(src, to);
@@ -220,8 +235,12 @@ class ShmFabric final : public TransportFabric {
     r->tail.store(tail + frame, std::memory_order_release);
     ShmDoorbell* d = doorbell(to);
     d->pushes.fetch_add(1, std::memory_order_relaxed);
+    std::atomic_thread_fence(std::memory_order_seq_cst);
+    if (d->parked.load(std::memory_order_relaxed) == 0) {
+      return;  // nobody parked: the consumer's re-check will see the frame
+    }
     pthread_mutex_lock(&d->mu);
-    const bool wake = d->parked != 0;
+    const bool wake = d->parked.load(std::memory_order_relaxed) != 0;
     if (wake) {
       d->wakeups.fetch_add(1, std::memory_order_relaxed);
     }
@@ -231,8 +250,8 @@ class ShmFabric final : public TransportFabric {
     }
   }
 
-  std::size_t Drain(NodeId self, std::vector<WireBatch>* out,
-                    std::size_t max) override {
+  std::size_t Drain(NodeId self, std::vector<WireBatch>* out, std::size_t max,
+                    WireBatchPool* pool) override {
     // Per-self receive scratch: in all-in-one mode every node thread drains
     // through this one fabric object concurrently (each on its own lanes).
     Buffer& scratch = rx_scratch_[self];
@@ -261,12 +280,12 @@ class ShmFabric final : public TransportFabric {
         scratch.resize(len);
         CopyOut(data, ring_bytes_, head + 4, scratch.data(), len);
         r->head.store(head + 4 + len, std::memory_order_release);
-        WireBatch batch = batch_pool().Acquire();  // decode into warm slots
+        WireBatch batch = pool->Acquire();  // decode into self's warm slots
         if (!TryDeserializeWireBatch(scratch.data(), len, &batch)) {
           SetError("shm lane " + std::to_string(src) + "->" +
                    std::to_string(static_cast<int>(self)) +
                    ": undecodable frame of " + std::to_string(len) + " bytes");
-          batch_pool().Recycle(std::move(batch));
+          pool->Recycle(std::move(batch));
           continue;
         }
         out->push_back(std::move(batch));
@@ -285,13 +304,14 @@ class ShmFabric final : public TransportFabric {
     abs.tv_sec += static_cast<time_t>(ns / 1'000'000'000ull);
     abs.tv_nsec = static_cast<long>(ns % 1'000'000'000ull);
     pthread_mutex_lock(&d->mu);
-    d->parked = 1;
+    d->parked.store(1, std::memory_order_relaxed);
+    std::atomic_thread_fence(std::memory_order_seq_cst);
     while (!HasInbound(self)) {
       if (pthread_cond_timedwait(&d->cv, &d->mu, &abs) == ETIMEDOUT) {
         break;
       }
     }
-    d->parked = 0;
+    d->parked.store(0, std::memory_order_relaxed);
     pthread_mutex_unlock(&d->mu);
   }
 

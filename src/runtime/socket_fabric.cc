@@ -10,6 +10,7 @@
 
 #include <atomic>
 #include <cerrno>
+#include <cstdint>
 #include <cstring>
 #include <mutex>
 #include <thread>
@@ -99,8 +100,7 @@ class SocketFabric final : public TransportFabric {
         tx_scratch_(static_cast<std::size_t>(n_)) {
     inboxes_.reserve(static_cast<std::size_t>(n_));
     for (int i = 0; i < n_; ++i) {
-      inboxes_.push_back(
-          std::make_unique<MpscChannel<WireBatch>>(config.channel_capacity));
+      inboxes_.push_back(std::make_unique<Inbox>(config.channel_capacity));
     }
   }
 
@@ -145,13 +145,13 @@ class SocketFabric final : public TransportFabric {
     return true;
   }
 
-  void Deliver(NodeId to, WireBatch&& batch) override {
+  void Deliver(NodeId to, WireBatch&& batch, WireBatchPool* pool) override {
     const NodeId src = batch.src;
     // Per-src serialize scratch: each node thread delivers only as itself.
     Buffer& buf = tx_scratch_[src];
     buf.clear();
     SerializeWireBatch(batch, &buf);
-    batch_pool().Recycle(std::move(batch));  // bytes are out; rewarm the slots
+    pool->Recycle(std::move(batch));  // bytes are out; the sender reuses it
     const int fd = Fd(src, to);
     if (fd < 0) {
       SetError("send to node " + std::to_string(static_cast<int>(to)) +
@@ -164,14 +164,24 @@ class SocketFabric final : public TransportFabric {
     }
   }
 
-  std::size_t Drain(NodeId self, std::vector<WireBatch>* out,
-                    std::size_t max) override {
-    return inboxes_[self]->TryDrain(out, max);
+  std::size_t Drain(NodeId self, std::vector<WireBatch>* out, std::size_t max,
+                    WireBatchPool* pool) override {
+    (void)pool;  // the rx thread decoded into its own batches
+    const auto append = [out](WireBatch&& b) { out->push_back(std::move(b)); };
+    return inboxes_[self]->batches.Consume(max, append);
+  }
+
+  // Drained batches belong to the rx thread: hand them back through self's
+  // return ring (the rx thread reclaims when its pool runs dry).
+  void Release(NodeId self, WireBatch&& batch, WireBatchPool* pool) override {
+    if (!inboxes_[self]->returns.TryPush(std::move(batch))) {
+      pool->Recycle(std::move(batch));  // backstop: ownership moves to self
+    }
   }
 
   void Wait(NodeId self, std::chrono::microseconds timeout) override {
-    std::vector<WireBatch> none;
-    inboxes_[self]->WaitDrain(&none, /*max=*/0, timeout);
+    Inbox& inbox = *inboxes_[self];
+    inbox.doorbell.Wait(timeout, [&inbox] { return !inbox.batches.empty(); });
   }
 
   void ReturnCredits(NodeId self, NodeId to, int n) override {
@@ -206,12 +216,14 @@ class SocketFabric final : public TransportFabric {
   bool InflightIsGlobal() const override { return rank_ < 0; }
 
   FabricStats stats(NodeId self) const override {
-    const MpscChannel<WireBatch>& inbox = *inboxes_[self];
-    return FabricStats{inbox.pushes(), inbox.full_waits(), inbox.wakeups()};
+    const Inbox& inbox = *inboxes_[self];
+    return FabricStats{inbox.pushes.load(std::memory_order_relaxed),
+                       inbox.full_waits.load(std::memory_order_relaxed),
+                       inbox.doorbell.wakeups()};
   }
 
   std::uint64_t InboundDepth(NodeId self) const override {
-    return inboxes_[self]->size();
+    return inboxes_[self]->batches.size();
   }
 
   std::string error() const override {
@@ -415,8 +427,7 @@ class SocketFabric final : public TransportFabric {
 
   // The fabric's single receive thread: polls every inbound side, reassembles
   // frames, and feeds the per-node inboxes.  One decoded batch is one inbox
-  // push — the wakeup-once-per-batch contract rides on MpscChannel as in the
-  // in-process backend.
+  // push and at most one doorbell wakeup, as in the in-process backend.
   void RxLoop() {
     std::vector<pollfd> pfds;
     struct LaneRef {
@@ -490,14 +501,17 @@ class SocketFabric final : public TransportFabric {
     }
     switch (type) {
       case kSocketFrameBatch: {
-        WireBatch batch = batch_pool().Acquire();  // decode into warm slots
+        if (rx_pool_.empty()) {
+          ReclaimRx();
+        }
+        WireBatch batch = rx_pool_.Acquire();  // decode into warm slots
         if (!TryDeserializeWireBatch(rx_payload_.data(), len, &batch)) {
           SetError("undecodable batch frame from peer " +
                    std::to_string(static_cast<int>(peer)));
-          batch_pool().Recycle(std::move(batch));
+          rx_pool_.Recycle(std::move(batch));
           return false;
         }
-        inboxes_[owner]->Push(std::move(batch));
+        PushInbox(owner, std::move(batch));
         return true;
       }
       case kSocketFrameCredit: {
@@ -520,17 +534,54 @@ class SocketFabric final : public TransportFabric {
     }
   }
 
+  // A local node's inbound side: the rx thread is the only producer of
+  // `batches` and the only consumer of `returns`.
+  struct Inbox {
+    explicit Inbox(std::size_t capacity) : batches(capacity), returns(capacity) {}
+    SpscRing<WireBatch> batches;  // rx thread pushes, owner drains
+    SpscRing<WireBatch> returns;  // owner releases, rx thread reclaims
+    Doorbell doorbell;
+    std::atomic<std::uint64_t> pushes{0};
+    std::atomic<std::uint64_t> full_waits{0};
+  };
+
+  // Rx thread only.  A full inbox is the §6.3 backstop: wait for the owner
+  // to drain (or for shutdown, which drops the batch).
+  void PushInbox(NodeId owner, WireBatch&& batch) {
+    Inbox& inbox = *inboxes_[owner];
+    if (!inbox.batches.TryPush(std::move(batch))) {
+      inbox.full_waits.fetch_add(1, std::memory_order_relaxed);
+      while (!inbox.batches.TryPush(std::move(batch))) {
+        if (shutdown_.load(std::memory_order_acquire)) {
+          return;
+        }
+        std::this_thread::sleep_for(std::chrono::microseconds(50));
+      }
+    }
+    inbox.pushes.fetch_add(1, std::memory_order_relaxed);
+    inbox.doorbell.Ring();
+  }
+
+  // Rx thread only: takes back every batch the local nodes have released.
+  void ReclaimRx() {
+    const auto recycle = [this](WireBatch&& b) { rx_pool_.Recycle(std::move(b)); };
+    for (const auto& inbox : inboxes_) {
+      inbox->returns.Consume(SIZE_MAX, recycle);
+    }
+  }
+
   const int n_;
   const int rank_;
   const TransportOptions opts_;
   std::vector<int> fds_;  // [owner][peer], -1 when absent
-  std::vector<std::unique_ptr<MpscChannel<WireBatch>>> inboxes_;
+  std::vector<std::unique_ptr<Inbox>> inboxes_;
   std::vector<std::atomic<int>> returned_;
   std::atomic<std::uint64_t> inflight_{0};
   int listen_fd_ = -1;
   std::string listen_path_;
   std::vector<Buffer> tx_scratch_;  // per src; each node writes only as itself
   Buffer rx_payload_;               // rx-thread-only frame reassembly buffer
+  WireBatchPool rx_pool_;           // rx-thread-only: batches it decodes into
   std::thread rx_thread_;
   std::atomic<bool> shutdown_{false};
   std::atomic<bool> faulted_{false};

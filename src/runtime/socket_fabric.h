@@ -4,9 +4,11 @@
 // ([u8 type][u32 len][payload]) — batches (wire_codec frames), credit
 // returns (the header-only credit-update message made literal), and a HELLO
 // that identifies the connecting rank.  A single receive thread per fabric
-// polls every inbound side, decodes frames, and feeds per-node MpscChannel
-// inboxes, so the consumer-facing semantics (FIFO per lane, wakeup-once-per-
-// batch, non-blocking drain) are exactly the in-process ones.
+// polls every inbound side, decodes frames into batches from its own pool,
+// and feeds per-node SPSC inboxes (runtime/channel.h), so the consumer-facing
+// semantics (FIFO per lane, wakeup-once-per-batch, non-blocking drain) are
+// exactly the in-process ones.  Drained batches go back to the receive thread
+// through per-node return rings (fabric.h, "batch ownership").
 //
 // All-in-one mode (rank < 0) wires the pairs with socketpair(2) — the
 // conformance suite runs the full serialize/frame/decode path without any

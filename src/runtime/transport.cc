@@ -50,12 +50,6 @@ LiveTransport::LiveTransport(const Config& config) : config_(config) {
   if (fabric_ == nullptr) {
     return;  // ok() == false; init_error_ says why
   }
-  if (config.prewarm_batches > 0) {
-    fabric_->batch_pool().Prewarm(
-        config.prewarm_batches,
-        static_cast<std::size_t>(config.coalesce_max_batch),
-        config.prewarm_value_bytes);
-  }
   endpoints_.resize(static_cast<std::size_t>(config.num_nodes));
   const int rank = config.transport.rank;
   for (int i = 0; i < config.num_nodes; ++i) {
@@ -76,16 +70,21 @@ LiveTransport::~LiveTransport() {
 LiveTransport::Endpoint::Endpoint(LiveTransport* transport, NodeId self)
     : transport_(transport),
       self_(self),
-      coalescer_(MakeCoalescerConfig(transport->config_, self,
-                                     &transport->fabric_->batch_pool())),
+      coalescer_(MakeCoalescerConfig(transport->config_, self, &batch_pool_)),
       bcast_credits_(transport->config_.num_nodes,
                      transport->config_.bcast_credits_per_peer),
       batcher_(transport->config_.num_nodes, transport->config_.credit_update_batch),
-      pending_(static_cast<std::size_t>(transport->config_.num_nodes)) {
+      pending_(static_cast<std::size_t>(transport->config_.num_nodes)),
+      credit_updates_owed_(static_cast<std::size_t>(transport->config_.num_nodes), 0) {
   // One Drain() can hand back at most a full ring of batches; reserving the
   // drain buffer up front keeps Poll() allocation-free no matter how inbound
   // bursts line up with the measured window.
   scratch_.reserve(transport->config_.channel_capacity);
+  const Config& c = transport->config_;
+  if (c.prewarm_batches > 0) {
+    const auto slots = static_cast<std::size_t>(c.coalesce_max_batch);
+    batch_pool_.Prewarm(c.prewarm_batches, slots, c.prewarm_value_bytes);
+  }
 }
 
 void LiveTransport::Endpoint::Enqueue(NodeId to, WireBody body) {
@@ -98,15 +97,22 @@ void LiveTransport::Endpoint::Enqueue(NodeId to, WireBody body) {
     ++data_sent_;
   }
   if (coalescer_.Append(to, std::move(body))) {
-    DeliverBatch(to, coalescer_.Take(to, FlushCause::kSize));
+    DeliverBatch(to, TakeBatch(to, FlushCause::kSize));
   }
+}
+
+WireBatch LiveTransport::Endpoint::TakeBatch(NodeId to, FlushCause cause) {
+  if (batch_pool_.empty()) {
+    fabric().Reclaim(self_, &batch_pool_);
+  }
+  return coalescer_.Take(to, cause);
 }
 
 void LiveTransport::Endpoint::DeliverBatch(NodeId to, WireBatch batch) {
   if (batch.empty()) {
     return;
   }
-  fabric().Deliver(to, std::move(batch));
+  fabric().Deliver(to, std::move(batch), &batch_pool_);
 }
 
 void LiveTransport::Endpoint::FlushBatches(FlushCause cause) {
@@ -126,10 +132,10 @@ void LiveTransport::Endpoint::FlushBatches(FlushCause cause) {
       if (!coalescer_.DeadlineExpired(to, now)) {
         continue;
       }
-      DeliverBatch(to, coalescer_.Take(to, FlushCause::kDeadline));
+      DeliverBatch(to, TakeBatch(to, FlushCause::kDeadline));
       continue;
     }
-    DeliverBatch(to, coalescer_.Take(to, cause));
+    DeliverBatch(to, TakeBatch(to, cause));
   }
 }
 

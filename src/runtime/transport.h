@@ -70,8 +70,9 @@ class LiveTransport {
     int num_nodes = 0;
     int bcast_credits_per_peer = 64;
     int credit_update_batch = 8;
-    // Per-node inbound bound; LiveRack sizes this from credits + window so
-    // that delivery never blocks.  Counts batches, which the message bound
+    // Inbound bound (FabricConfig::channel_capacity: per lane for inproc, per
+    // node for socket); LiveRack sizes it from credits + window so that
+    // delivery never blocks.  Counts batches, which the message bound
     // dominates (every batch carries at least one message).
     std::size_t channel_capacity = 4096;
     // §8.5 on the live fabric: batch same-destination messages into shared
@@ -92,7 +93,7 @@ class LiveTransport {
     // Monotonic clock for the deadline policy; tests inject a fake.  Defaults
     // to steady_clock when a deadline is set.
     std::function<std::uint64_t()> clock_ns;
-    // Stock the fabric's WireBatchPool with this many fully-warm batches
+    // Stock EACH endpoint's WireBatchPool with this many fully-warm batches
     // (coalesce_max_batch slots, prewarm_value_bytes of string capacity each)
     // at construction.  0 = start cold and warm up through use — fine for
     // correctness (warm-up is one-time per slot), required off for tests that
@@ -105,7 +106,10 @@ class LiveTransport {
     TransportOptions transport;
   };
 
-  class Endpoint final : public MessageSink {
+  // Cache-line aligned: each endpoint's fields are written by its owning
+  // thread on every Poll(), and endpoints allocated back to back would
+  // otherwise share a line across node threads.
+  class alignas(64) Endpoint final : public MessageSink {
    public:
     Endpoint(LiveTransport* transport, NodeId self);
 
@@ -129,19 +133,24 @@ class LiveTransport {
     // receive-side run demux (consecutive same-key updates collapse to the
     // newest; see coalescer.h), then performs per-message credit accounting.
     // Owning node's thread only.  Returns the number of messages processed.
+    //
+    // Drained batches go back to their owner (fabric.h) BEFORE the credits
+    // they earned: a sender regains credits only after the batches that spent
+    // them are reclaimable, so §6.3's credit bound also bounds how many
+    // batches each endpoint ever needs.
     template <typename Handler>
     std::size_t Poll(std::size_t max_batches, Handler&& handler) {
       scratch_.clear();
-      fabric().Drain(self_, &scratch_, max_batches);
+      fabric().Drain(self_, &scratch_, max_batches, &batch_pool_);
       UpdateRunDemux demux(&updates_collapsed_);
       std::size_t processed = 0;
       for (const WireBatch& batch : scratch_) {
         for (const WireBody& body : batch) {
           demux.OnMessage(batch.src, body, handler);
           if (IsCredited(body) && batcher_.OnReceived(batch.src)) {
-            // Return a credit batch to the sender (header-only message in the
-            // paper; an atomic add or credit frame in the fabric).
-            fabric().ReturnCredits(self_, batch.src, batcher_.batch());
+            // One credit batch owed to the sender (a header-only message in
+            // the paper; an atomic add or credit frame in the fabric).
+            ++credit_updates_owed_[batch.src];
             ++credit_returns_;
           }
           if (!IsTermControl(body)) {
@@ -156,7 +165,14 @@ class LiveTransport {
       }
       demux.Flush(handler);  // demux holds pointers into scratch_: flush first
       for (WireBatch& batch : scratch_) {
-        fabric().batch_pool().Recycle(std::move(batch));
+        fabric().Release(self_, std::move(batch), &batch_pool_);  // to its owner
+      }
+      for (std::size_t src = 0; src < credit_updates_owed_.size(); ++src) {
+        if (credit_updates_owed_[src] > 0) {
+          fabric().ReturnCredits(self_, static_cast<NodeId>(src),
+                                 credit_updates_owed_[src] * batcher_.batch());
+          credit_updates_owed_[src] = 0;
+        }
       }
       messages_received_ += processed;
       return processed;
@@ -204,6 +220,8 @@ class LiveTransport {
     // committed to delivery / finished processing (control_messages.h).
     std::uint64_t data_sent() const { return data_sent_; }
     std::uint64_t data_processed() const { return data_processed_; }
+    // Batches on this endpoint's free list (fabric.h, "batch ownership").
+    std::size_t free_batches() const { return batch_pool_.size(); }
     const SendCoalescer& coalescer() const { return coalescer_; }
     // Arms batch-residence tracing on the send coalescer (runtime/tracing.h).
     // Call before the owning node's thread starts; null disarms.
@@ -219,6 +237,9 @@ class LiveTransport {
     // peer's open batch, and ships the batch if it hit the size cap.
     void Enqueue(NodeId to, WireBody body);
     void DeliverBatch(NodeId to, WireBatch batch);
+    // Closes the open batch for `to`, first reclaiming released batches from
+    // the fabric when the free list has run dry.
+    WireBatch TakeBatch(NodeId to, FlushCause cause);
     template <typename T>
     void BroadcastCredited(const T& msg, std::uint64_t* counter);
 
@@ -230,7 +251,7 @@ class LiveTransport {
       fabric().AddInflight(1);
       ++data_sent_;
       if (coalescer_.AppendTyped(to, msg)) {
-        DeliverBatch(to, coalescer_.Take(to, FlushCause::kSize));
+        DeliverBatch(to, TakeBatch(to, FlushCause::kSize));
       }
     }
 
@@ -249,11 +270,13 @@ class LiveTransport {
 
     LiveTransport* transport_;
     NodeId self_;
+    WireBatchPool batch_pool_;  // this endpoint's batches; owning thread only
     SendCoalescer coalescer_;
     CreditPool bcast_credits_;      // sender side, per peer
     CreditUpdateBatcher batcher_;   // receiver side, per peer
     std::vector<std::deque<WireBody>> pending_;  // per peer, FIFO
     std::vector<WireBatch> scratch_;             // Poll() drain buffer
+    std::vector<int> credit_updates_owed_;       // per peer, within one Poll()
     std::uint64_t credit_parks_ = 0;
     std::uint64_t updates_sent_ = 0;
     std::uint64_t invalidations_sent_ = 0;

@@ -2,7 +2,7 @@
 // store/cache/engine code, certified by the verify/ checkers.
 //
 // These are the tests the CI sanitizer matrix exists for: under TSan they
-// exercise the CRCW seqlock path, the MPSC channels and the credit scheme
+// exercise the CRCW seqlock path, the fabric lanes and the credit scheme
 // with genuine concurrency.  Op counts scale down under sanitizers (and up
 // via CCKVS_LIVE_OPS) — a plain Release run covers millions of operations.
 

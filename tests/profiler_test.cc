@@ -8,6 +8,8 @@
 // exactly — no sample may be lost or double-counted, no matter how the
 // sampling instants interleave with the increments.
 
+#include <unistd.h>
+
 #include <atomic>
 #include <cstdio>
 #include <numeric>
@@ -118,10 +120,7 @@ TEST(ProfilerTest, CsvFileGetsHeaderAndOneRowPerSample) {
 // the store prefilled performs no heap allocation inside any node's
 // steady-state window.  Skipped under sanitizers, where the counting
 // operator new is compiled out (TrackerAvailable() == false).
-TEST(ProfilerTest, SteadyStateScRunIsAllocationFree) {
-  if (!alloc::TrackerAvailable()) {
-    GTEST_SKIP() << "allocation tracker compiled out (sanitizer build)";
-  }
+LiveRackParams AuditedScRack() {
   LiveRackParams p;
   p.num_nodes = 3;
   p.consistency = ConsistencyModel::kSc;
@@ -139,7 +138,15 @@ TEST(ProfilerTest, SteadyStateScRunIsAllocationFree) {
   p.prefill_store = true;
   p.track_allocs = true;
   p.alloc_assert = true;  // a nonzero count aborts the test binary
-  p.profile = true;       // exercise counter publishing inside the window
+  return p;
+}
+
+TEST(ProfilerTest, SteadyStateScRunIsAllocationFree) {
+  if (!alloc::TrackerAvailable()) {
+    GTEST_SKIP() << "allocation tracker compiled out (sanitizer build)";
+  }
+  LiveRackParams p = AuditedScRack();
+  p.profile = true;  // exercise counter publishing inside the window
   p.profile_interval_ms = 10;
 
   LiveRack rack(p);
@@ -150,6 +157,26 @@ TEST(ProfilerTest, SteadyStateScRunIsAllocationFree) {
   EXPECT_EQ(r.hot_path_allocs, 0u);
   EXPECT_FALSE(r.profiler_samples.empty());
   EXPECT_GT(r.rack.l1_hits, 0u) << "the audit should cover a SERVING L1";
+}
+
+// The same audit over the shared-memory fabric, all nodes in one process:
+// every batch is serialized out of its sender's own pool and decoded into its
+// receiver's, so this covers the codec scratch and both ends of the
+// endpoint-owned batch path.
+TEST(ProfilerTest, SteadyStateScRunOverShmIsAllocationFree) {
+  if (!alloc::TrackerAvailable()) {
+    GTEST_SKIP() << "allocation tracker compiled out (sanitizer build)";
+  }
+  LiveRackParams p = AuditedScRack();
+  p.transport.kind = TransportKind::kShm;
+  p.transport.shm_name = "/cckvs_profiler_" + std::to_string(getpid());
+
+  LiveRack rack(p);
+  const LiveReport r = rack.Run();
+  EXPECT_TRUE(r.ok()) << r.transport_error;
+  EXPECT_GE(r.completed, 3u * 30'000u);
+  EXPECT_EQ(r.hot_path_allocs, 0u);
+  EXPECT_GT(r.channel_batches, 0u) << "the audit should cover fabric traffic";
 }
 
 TEST(ProfilerTest, RunLoopAndProfilingParamsRoundTripThroughBlob) {

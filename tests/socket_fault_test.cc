@@ -203,9 +203,10 @@ TEST(SocketFault, TrickledFrameDecodesAndCleanCloseIsNotAFault) {
   }
 
   std::vector<WireBatch> out;
+  WireBatchPool pool;
   const auto deadline = Clock::now() + std::chrono::seconds(10);
   while (out.empty() && Clock::now() < deadline) {
-    fabric->Drain(0, &out, 8);
+    fabric->Drain(0, &out, 8, &pool);
     if (out.empty()) {
       std::this_thread::sleep_for(std::chrono::milliseconds(1));
     }
