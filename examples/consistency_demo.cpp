@@ -100,7 +100,7 @@ void Figure5(ConsistencyModel model) {
 
   // t0: session A (node 0) PUT(K, 1).
   bool put_returned = false;
-  f.node(0).Write(kK, "1", [&] { put_returned = true; });
+  f.node(0).Write(kK, "1", [&](Timestamp) { put_returned = true; });
   if (model == ConsistencyModel::kLin) {
     f.DeliverAll();  // Lin blocks until invalidations are acknowledged
   }

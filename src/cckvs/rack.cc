@@ -6,7 +6,7 @@
 #include <memory>
 #include <utility>
 
-#include "src/cache/l1_tail.h"
+#include "src/cckvs/node_core.h"
 #include "src/cckvs/report_util.h"
 #include "src/cckvs/rpc_messages.h"
 #include "src/common/check.h"
@@ -15,7 +15,6 @@
 #include "src/protocol/messages.h"
 #include "src/rdma/flow_control.h"
 #include "src/rdma/verbs.h"
-#include "src/topk/flat_space_saving.h"
 
 namespace cckvs {
 namespace {
@@ -43,7 +42,6 @@ class RackNode final : public MessageSink, public HotSetHost {
   RackNode(RackSimulation* rack, NodeId id);
 
   void Start();
-  void PrefillHotSet(const std::vector<Key>& hot_keys);
 
   // Stops issuing new client operations; in-flight ones run to completion.
   void StartDraining() { draining_ = true; }
@@ -54,11 +52,13 @@ class RackNode final : public MessageSink, public HotSetHost {
   void SendAck(NodeId to, const AckMsg& msg) override;
 
   // --- HotSetHost (called by the shared transition machine in topk/) ---
-  void ApplyWriteback(const SymmetricCache::Eviction& ev) override;
-  FillSnapshot GateAndSnapshot(Key key) override;
+  void ApplyWriteback(const SymmetricCache::Eviction& ev) override {
+    core_.ApplyWriteback(ev);
+  }
+  FillSnapshot GateAndSnapshot(Key key) override { return core_.GateAndSnapshot(key); }
   void PublishFills(const std::vector<FillMsg>& fills) override;
   void PublishInstalled(const EpochInstalledMsg& msg) override;
-  void LiftGate(Key key) override;
+  void LiftGate(Key key) override { core_.LiftGate(key); }
 
   // --- Epoch machinery (delegates membership to the HotSetManager) ---
   void AnnounceHotSet(const HotSetAnnounceMsg& msg);  // coordinator only
@@ -69,9 +69,8 @@ class RackNode final : public MessageSink, public HotSetHost {
                            std::uint32_t payload_bytes_override = 0);
 
   // --- Introspection ---
-  const SymmetricCache* cache() const { return cache_.get(); }
-  const CoherenceEngine* engine() const { return engine_.get(); }
-  const HotSetManager* hot_set_manager() const { return hot_mgr_.get(); }
+  NodeCore& core() { return core_; }
+  const NodeCore& core() const { return core_; }
   const Partition* partition(int kvs_thread) const {
     return partitions_[static_cast<std::size_t>(
                            kvs_thread % static_cast<int>(partitions_.size()))]
@@ -79,14 +78,11 @@ class RackNode final : public MessageSink, public HotSetHost {
   }
 
   struct Snapshot {
-    std::uint64_t completed = 0;
-    std::uint64_t hit_completed = 0;
-    std::uint64_t miss_completed = 0;
+    NodeCore::Counts counts;
     std::uint64_t updates_sent = 0;
     std::uint64_t invs_sent = 0;
     std::uint64_t acks_sent = 0;
     std::uint64_t credit_updates_sent = 0;
-    std::uint64_t l1_hits = 0;
     std::uint64_t l1_fills = 0;
     std::uint64_t l1_invalidations = 0;
     SimTime worker_busy = 0;
@@ -97,11 +93,12 @@ class RackNode final : public MessageSink, public HotSetHost {
   const Histogram& latency() const { return latency_; }
 
  private:
+  using Route = NodeCore::Route;
+
   struct OpState {
     Op op;
     SimTime start = 0;
     SessionId session = 0;
-    bool via_cache = false;
     bool in_use = false;
   };
 
@@ -111,35 +108,28 @@ class RackNode final : public MessageSink, public HotSetHost {
     std::shared_ptr<const Buffer> body;
   };
 
-  struct ReqCoalesceBuf {
-    std::vector<RpcRequest> reqs;
-    std::uint32_t payload_bytes = 0;
-  };
-  struct RespCoalesceBuf {
-    std::vector<RpcResponse> resps;
+  // Same-destination RPC messages waiting to share one packet (§8.5).
+  template <typename Msg>
+  struct CoalesceBuf {
+    std::vector<Msg> msgs;
     std::uint32_t payload_bytes = 0;
   };
 
   const RackParams& params() const { return rack_->params_; }
   Simulator& sim() { return rack_->sim_; }
+  // The node core's view of this node: which cache tier it runs (ccKVS, the
+  // central-cache strawman's dedicated cache, or none) and its shards.
+  NodeCoreConfig CoreConfig();
 
   // Client load.
   std::uint32_t AllocSlot();
-  void LaunchClosedLoopSession(std::uint32_t slot);
   void ScheduleOpenLoopArrival();
   void GenerateOp(std::uint32_t slot);
   void ProcessOp(std::uint32_t slot);
-  // Node-private L1 tail (cache/l1_tail.h): serve a GET from the private copy
-  // when it is provably current.  Under SC a hit needs no validation (local
-  // writes invalidate synchronously, so per-session timestamps stay monotone);
-  // under Lin every hit revalidates against the home shard's timestamp, which
-  // is local because admission is restricted to self-homed keys.
-  bool TryServeFromL1(std::uint32_t slot);
-  void MaybeAdmitToL1(Key key, const Value& value, Timestamp ts);
   void ExecuteCachePut(std::uint32_t slot);
   void RouteMiss(std::uint32_t slot);
   void CompleteOp(std::uint32_t slot, const Value& read_value, Timestamp ts,
-                  bool via_cache);
+                  Route route);
 
   // KVS execution.
   int KvsThreadFor(Key key) const;
@@ -159,18 +149,35 @@ class RackNode final : public MessageSink, public HotSetHost {
   // RPC path.
   void StartRpc(std::uint32_t slot, NodeId home);
   void EnqueueRpc(std::uint32_t slot, NodeId home);
-  void FlushRequestBuffer(NodeId dst);
   void RespondRpc(NodeId dst, RpcResponse resp, OpType op_type);
-  void FlushResponseBuffer(NodeId dst);
+  // Queues `msg` for dst's next coalesced packet: the first message arms the
+  // window timer, a full batch flushes at once.
+  template <typename Msg>
+  void Coalesce(std::vector<CoalesceBuf<Msg>>* bufs, NodeId dst, TrafficClass cls,
+                Msg msg, std::uint32_t payload_bytes);
+  template <typename Msg>
+  void FlushCoalesced(std::vector<CoalesceBuf<Msg>>* bufs, NodeId dst, TrafficClass cls);
+  // Serializes `msgs` into one packet on the RPC QP and charges its send CPU;
+  // `framed` > 0 marks a coalesced packet of that many messages.
+  template <typename Msg>
+  void PostRpc(NodeId dst, std::uint16_t qpn, TrafficClass cls,
+               const std::vector<Msg>& msgs, std::uint32_t payload_bytes,
+               std::size_t framed);
   void DrainPendingRpc(NodeId peer);
-  std::uint32_t RequestPayloadBytes(const Op& op) const;
   std::uint32_t RequestPayloadBytes(const RpcRequest& req) const;
   std::uint32_t ResponsePayloadBytes(OpType op) const;
+  // A UD send carrying `payload_bytes` of nominal payload; `framed` coalesced
+  // messages add their framing bytes to the header.
+  UdQp::SendWr MakeWr(NodeId dst, std::uint16_t qpn, TrafficClass cls,
+                      std::shared_ptr<const Buffer> body, std::uint32_t payload_bytes,
+                      std::size_t framed = 0) const;
 
   // Consistency path.
-  void SendConsistency(NodeId peer, TrafficClass cls, std::uint32_t payload_bytes,
-                       std::shared_ptr<const Buffer> body,
-                       std::vector<UdQp::SendWr>* batch);
+  // Sends `body` to every peer, parking sends that lack credits (§6.3).
+  void BroadcastConsistency(TrafficClass cls, std::uint32_t payload_bytes,
+                            const std::shared_ptr<const Buffer>& body);
+  // Posts a batch on the consistency QP and charges its send CPU.
+  void PostConsistency(const std::vector<UdQp::SendWr>& batch);
   void DrainPendingBcast(NodeId peer);
   void MaybeSendCreditUpdate(NodeId peer);
   bool AllPeersHaveBcastCredit() const;
@@ -187,17 +194,7 @@ class RackNode final : public MessageSink, public HotSetHost {
   NodeId id_;
 
   std::vector<std::unique_ptr<Partition>> partitions_;
-  std::unique_ptr<SymmetricCache> cache_;
-  std::unique_ptr<CoherenceEngine> engine_;
-  std::unique_ptr<HotSetManager> hot_mgr_;  // online_topk runs only
-
-  // L1 tail tier (l1_capacity > 0, ccKVS only): node-private cache fed by a
-  // per-node Space-Saving sketch, kept disjoint from the symmetric tier.
-  std::unique_ptr<L1TailCache> l1_;
-  std::unique_ptr<FlatSpaceSaving> l1_sketch_;
-  std::uint64_t l1_offers_ = 0;
-  std::uint64_t l1_hits_ = 0;  // ops actually served from the L1
-  bool l1_validate_ = false;   // Lin: revalidate every hit against the shard
+  NodeCore core_;
 
   std::unique_ptr<ServicePool> workers_;
   std::vector<std::unique_ptr<ServicePool>> kvs_pools_;
@@ -231,12 +228,9 @@ class RackNode final : public MessageSink, public HotSetHost {
   // launch a write's updates without credits; the op waits, throttling writers
   // to the fabric's consistency-message drain rate).
   std::deque<std::uint32_t> parked_sc_writes_;
-  std::vector<ReqCoalesceBuf> req_coalesce_;
-  std::vector<RespCoalesceBuf> resp_coalesce_;
+  std::vector<CoalesceBuf<RpcRequest>> req_coalesce_;
+  std::vector<CoalesceBuf<RpcResponse>> resp_coalesce_;
 
-  std::uint64_t completed_ = 0;
-  std::uint64_t hit_completed_ = 0;
-  std::uint64_t miss_completed_ = 0;
   std::uint64_t updates_sent_ = 0;
   std::uint64_t invs_sent_ = 0;
   std::uint64_t acks_sent_ = 0;
@@ -248,6 +242,7 @@ class RackNode final : public MessageSink, public HotSetHost {
 RackNode::RackNode(RackSimulation* rack, NodeId id)
     : rack_(rack),
       id_(id),
+      core_(CoreConfig(), this, this),
       rpc_credits_(rack->params_.num_nodes, rack->params_.rpc_credits_per_peer),
       bcast_credits_(rack->params_.num_nodes, rack->params_.bcast_credits_per_peer),
       credit_batcher_(rack->params_.num_nodes, rack->params_.credit_update_batch),
@@ -277,92 +272,36 @@ RackNode::RackNode(RackSimulation* rack, NodeId id)
     kvs_pools_.push_back(std::make_unique<ServicePool>(&rack->sim_, p.kvs_threads));
   }
 
-  // Symmetric cache + consistency engine (ccKVS), or the single dedicated
-  // cache of the centralized strawman (cache node 0 only, Figure 2b).  With
-  // one copy there are no sharers to invalidate: a LinEngine over a one-node
-  // "cluster" completes writes inline and is trivially linearizable.
-  if (p.kind == SystemKind::kCcKvs) {
-    cache_ = std::make_unique<SymmetricCache>(p.cache_capacity);
-    if (p.consistency == ConsistencyModel::kLin) {
-      engine_ = std::make_unique<LinEngine>(id, p.num_nodes, cache_.get(), this);
-    } else {
-      CCKVS_CHECK(p.consistency == ConsistencyModel::kSc);
-      engine_ = std::make_unique<ScEngine>(id, p.num_nodes, cache_.get(), this);
-    }
-  } else if (p.kind == SystemKind::kCentralCache && id == 0) {
-    cache_ = std::make_unique<SymmetricCache>(p.cache_capacity);
-    engine_ = std::make_unique<LinEngine>(id, /*num_nodes=*/1, cache_.get(), this);
-  }
-
-  // Node-private L1 tail in front of the symmetric tier.  The simulator's
-  // remote shards are reachable only over RPC (like a ranked live rack), so
-  // under Lin — where every hit revalidates against the home shard — only
-  // self-homed keys are admitted.
-  if (p.kind == SystemKind::kCcKvs && p.l1_capacity > 0) {
-    l1_ = std::make_unique<L1TailCache>(p.l1_capacity, p.l1_policy,
-                                        p.workload.value_bytes);
-    l1_sketch_ = std::make_unique<FlatSpaceSaving>(p.l1_capacity * 2);
-    l1_validate_ = p.consistency == ConsistencyModel::kLin;
-  }
-
-  // Hot-set subsystem (§4): node 0 doubles as the epoch coordinator; every
-  // node runs the member side (install, deferral, fills, install barrier).
-  if (p.kind == SystemKind::kCcKvs && p.online_topk) {
-    HotSetManagerConfig hc;
-    hc.self = id;
-    hc.num_nodes = p.num_nodes;
-    hc.coordinator = id == 0;
-    hc.epoch.hot_set_size = p.cache_capacity;
-    hc.epoch.requests_per_epoch = p.topk_epoch_requests;
-    hc.epoch.sample_probability = p.topk_sample_probability;
-    hc.epoch.seed = p.seed ^ 0x70cull;
-    hc.epoch.adaptive = p.topk_adaptive_epochs;
-    hc.home_of = [rack](Key key) { return rack->HomeOf(key); };
-    hot_mgr_ =
-        std::make_unique<HotSetManager>(hc, cache_.get(), engine_.get(), this);
-  }
-
   // RDMA endpoint and QPs.
   endpoint_ = std::make_unique<RdmaEndpoint>(rack->net_.get(), id, p.nic);
   const int peers = p.num_nodes - 1;
   const int rpc_qp_count = erew ? p.kvs_threads : 1;
-  for (int q = 0; q < rpc_qp_count; ++q) {
+  // Each QP starts with `depth` receives posted.
+  const auto make_qp = [this](int qpn, int depth) {
     QpConfig qc;
-    qc.qpn = static_cast<std::uint16_t>(kQpRpcBase + q);
-    qc.recv_queue_depth = std::max(64, 2 * peers * p.rpc_credits_per_peer);
+    qc.qpn = static_cast<std::uint16_t>(qpn);
+    qc.recv_queue_depth = depth;
     UdQp* qp = endpoint_->CreateQp(qc);
-    qp->PostRecvs(qc.recv_queue_depth);
+    qp->PostRecvs(depth);
+    return qp;
+  };
+  for (int q = 0; q < rpc_qp_count; ++q) {
+    UdQp* qp = make_qp(kQpRpcBase + q, std::max(64, 2 * peers * p.rpc_credits_per_peer));
     qp->SetRecvHandler([this, qp](const Datagram& dg) {
       qp->PostRecvs(1);  // repost the consumed receive
       OnRpcRecv(dg);
     });
     rpc_qps_.push_back(qp);
   }
-  {
-    QpConfig qc;
-    qc.qpn = kQpConsistency;
-    qc.recv_queue_depth = std::max(64, 3 * peers * p.bcast_credits_per_peer);
-    consistency_qp_ = endpoint_->CreateQp(qc);
-    consistency_qp_->PostRecvs(qc.recv_queue_depth);
-    consistency_qp_->SetRecvHandler([this](const Datagram& dg) { OnConsistencyRecv(dg); });
-  }
-  {
-    QpConfig qc;
-    qc.qpn = kQpCredit;
-    qc.recv_queue_depth =
-        std::max(64, peers * (p.bcast_credits_per_peer / p.credit_update_batch + 2));
-    credit_qp_ = endpoint_->CreateQp(qc);
-    credit_qp_->PostRecvs(qc.recv_queue_depth);
-    credit_qp_->SetRecvHandler([this](const Datagram& dg) { OnCreditRecv(dg); });
-  }
-  {
-    QpConfig qc;
-    qc.qpn = kQpControl;
-    qc.recv_queue_depth = 4096;
-    control_qp_ = endpoint_->CreateQp(qc);
-    control_qp_->PostRecvs(qc.recv_queue_depth);
-    control_qp_->SetRecvHandler([this](const Datagram& dg) { OnControlRecv(dg); });
-  }
+  consistency_qp_ =
+      make_qp(kQpConsistency, std::max(64, 3 * peers * p.bcast_credits_per_peer));
+  consistency_qp_->SetRecvHandler([this](const Datagram& dg) { OnConsistencyRecv(dg); });
+  const int credit_depth =
+      std::max(64, peers * (p.bcast_credits_per_peer / p.credit_update_batch + 2));
+  credit_qp_ = make_qp(kQpCredit, credit_depth);
+  credit_qp_->SetRecvHandler([this](const Datagram& dg) { OnCreditRecv(dg); });
+  control_qp_ = make_qp(kQpControl, 4096);
+  control_qp_->SetRecvHandler([this](const Datagram& dg) { OnControlRecv(dg); });
 
   pending_rpc_.resize(static_cast<std::size_t>(p.num_nodes));
   pending_bcast_.resize(static_cast<std::size_t>(p.num_nodes));
@@ -370,30 +309,31 @@ RackNode::RackNode(RackSimulation* rack, NodeId id)
   resp_coalesce_.resize(static_cast<std::size_t>(p.num_nodes));
 }
 
-void RackNode::PrefillHotSet(const std::vector<Key>& hot_keys) {
-  if (cache_ == nullptr) {
-    return;
+NodeCoreConfig RackNode::CoreConfig() {
+  const RackParams& p = params();
+  NodeCoreConfig c = NodeCoreConfig::From(p, id_);
+  if (p.kind == SystemKind::kCentralCache && id_ == 0) {
+    // The single dedicated cache of the centralized strawman (Figure 2b).
+    // With one copy there are no sharers to invalidate: a LinEngine over a
+    // one-node "cluster" completes writes inline and is trivially
+    // linearizable.
+    c.num_nodes = 1;
+    c.consistency = ConsistencyModel::kLin;
+  } else if (p.kind != SystemKind::kCcKvs) {
+    c.consistency = ConsistencyModel::kNone;
   }
-  cache_->InstallHotSet(hot_keys);
-  for (const Key key : hot_keys) {
-    cache_->Fill(key, SynthesizeValue(key, params().workload.value_bytes),
-                 Timestamp{0, 0});
+  if (p.kind != SystemKind::kCcKvs) {
+    c.l1_capacity = 0;  // the L1 tail and epochs are ccKVS features
+    c.online_topk = false;
   }
-  if (hot_mgr_ != nullptr) {
-    // Epochs will manage membership from here on: raise the shard residency
-    // gate of every prefilled key homed here, exactly as an epoch admission
-    // would have (the same bracket the live rack sets in its constructor).
-    for (const Key key : hot_keys) {
-      if (rack_->HomeOf(key) == id_) {
-        PartitionFor(key).MarkCacheResident(key);
-      }
-    }
-  }
-  if (hot_mgr_ != nullptr && hot_mgr_->coordinator()) {
-    // Keys the first epoch drops from the oracle set must settle like any
-    // published eviction before they are eligible for re-admission.
-    hot_mgr_->SeedPublished(hot_keys);
-  }
+  c.home_of = [rack = rack_](Key key) { return rack->HomeOf(key); };
+  c.shard_of = [this](Key key) -> Partition& { return PartitionFor(key); };
+  // The simulator's remote shards are reachable only over RPC (like a ranked
+  // live rack), so only self-homed shards can be peeked.
+  c.peek_home = [this](Key key) -> const Partition* {
+    return rack_->HomeOf(key) == id_ ? &PartitionFor(key) : nullptr;
+  };
+  return c;
 }
 
 void RackNode::Start() {
@@ -403,7 +343,7 @@ void RackNode::Start() {
     return;
   }
   for (int i = 0; i < p.window_per_node; ++i) {
-    LaunchClosedLoopSession(AllocSlot());
+    GenerateOp(AllocSlot());  // one closed-loop session per window slot
   }
 }
 
@@ -421,8 +361,6 @@ std::uint32_t RackNode::AllocSlot() {
       static_cast<SessionId>(id_) * 100000u + slot;  // sessions pinned to a node
   return slot;
 }
-
-void RackNode::LaunchClosedLoopSession(std::uint32_t slot) { GenerateOp(slot); }
 
 void RackNode::ScheduleOpenLoopArrival() {
   // Poisson arrivals at open_loop_mrps_per_node.
@@ -442,9 +380,9 @@ void RackNode::GenerateOp(std::uint32_t slot) {
   OpState& st = ops_[slot];
   st.op = gen_.Next();
   st.start = sim().now();
-  st.via_cache = false;
-  if (hot_mgr_ != nullptr && hot_mgr_->coordinator() && hot_mgr_->Sample(st.op.key)) {
-    AnnounceHotSet(hot_mgr_->announcement());
+  HotSetManager* hot_mgr = core_.hot_set_manager();
+  if (hot_mgr != nullptr && hot_mgr->coordinator() && hot_mgr->Sample(st.op.key)) {
+    AnnounceHotSet(hot_mgr->announcement());
   }
   workers_->Submit(kClientParseNs + params().cpu.cache_probe_ns +
                        endpoint_->PollSweepCost(),
@@ -457,7 +395,6 @@ void RackNode::ProcessOp(std::uint32_t slot) {
   if (p.kind == SystemKind::kCentralCache && rack_->IsHotKey(st.op.key)) {
     // Figure 2b: all hot traffic funnels to the dedicated cache node.
     if (id_ == 0) {
-      st.via_cache = true;
       RpcRequest req;
       req.op_id = slot;
       req.op = st.op.type;
@@ -467,7 +404,7 @@ void RackNode::ProcessOp(std::uint32_t slot) {
                                                   : p.cpu.cache_write_ns,
                        [this, slot, req] {
                          ExecuteKvsOpAsync(req, [this, slot](const RpcResponse& r) {
-                           CompleteOp(slot, r.value, r.ts, true);
+                           CompleteOp(slot, r.value, r.ts, Route::kCache);
                          });
                        });
     } else {
@@ -475,115 +412,52 @@ void RackNode::ProcessOp(std::uint32_t slot) {
     }
     return;
   }
-  if (l1_ != nullptr) {
-    if (st.op.type == OpType::kPut) {
-      // Write-through-invalidate: the private copy dies before the write is
-      // even routed, so a later read by this node cannot see the old value.
-      l1_->Invalidate(st.op.key);
-    } else if (TryServeFromL1(slot)) {
-      return;
-    }
-  }
-  if (p.kind == SystemKind::kCcKvs && cache_->Probe(st.op.key)) {
-    st.via_cache = true;
-    if (st.op.type == OpType::kGet) {
-      Value value;
-      Timestamp ts;
-      const auto result = engine_->Read(
-          st.op.key, &value, &ts,
-          [this, slot](const Value& v, Timestamp t) { CompleteOp(slot, v, t, true); });
-      if (result == CoherenceEngine::ReadResult::kHit) {
-        workers_->Submit(p.cpu.cache_hit_ns, [this, slot, value, ts] {
-          CompleteOp(slot, value, ts, true);
-        });
-      }
-      // kBlocked: the parked-reader callback completes the op.
-      return;
-    }
-    workers_->Submit(p.cpu.cache_write_ns, [this, slot] { ExecuteCachePut(slot); });
-    return;
-  }
-  RouteMiss(slot);
-}
-
-bool RackNode::TryServeFromL1(std::uint32_t slot) {
-  OpState& st = ops_[slot];
-  const Key key = st.op.key;
-  Value value;
-  Timestamp ts;
-  if (!l1_->Get(key, &value, &ts)) {
-    return false;
-  }
-  if (l1_validate_) {
-    // Lin: the hit linearizes at the instant the home shard's timestamp is
-    // observed to match ((clock, writer) uniquely identifies a write, so a
-    // matching timestamp implies a matching value).  Admission restricted the
-    // L1 to self-homed keys, so the shard is local.
-    Timestamp home_ts;
-    bool resident = false;
-    if (!PartitionFor(key).PeekTimestamp(key, &home_ts, &resident) || resident ||
-        !(home_ts == ts)) {
-      l1_->Invalidate(key);
-      return false;
-    }
-  }
-  st.via_cache = true;
-  workers_->Submit(params().cpu.l1_hit_ns, [this, slot, value, ts] {
-    ++l1_hits_;
-    CompleteOp(slot, value, ts, true);
-  });
-  return true;
-}
-
-void RackNode::MaybeAdmitToL1(Key key, const Value& value, Timestamp ts) {
-  std::uint64_t guaranteed = 0;
-  l1_sketch_->Offer(key, &guaranteed);
-  if (++l1_offers_ % (l1_sketch_->capacity() * 8) == 0) {
-    l1_sketch_->DecayHalve();
-  }
-  if (guaranteed < 2) {
-    // Proven sightings (count - error), not the estimate: a saturated sketch
-    // inflates every newcomer to min+1, and admitting on that churns the L1
-    // with one-hit tail keys (see live_node.cc's twin of this gate).
-    return;
-  }
-  if (l1_validate_ && rack_->HomeOf(key) != id_) {
-    return;  // Lin hits revalidate against the shard, which must be local
-  }
-  if (cache_->Find(key) != nullptr) {
-    return;  // tier exclusivity: the symmetric cache already serves this key
-  }
-  l1_->Fill(key, value, ts);
-}
-
-void RackNode::ExecuteCachePut(std::uint32_t slot) {
-  OpState& st = ops_[slot];
-  const Key key = st.op.key;
-  CacheEntry* entry = cache_->Find(key);
-  if (entry == nullptr) {
-    // The key churned out of the hot set between probe and execution (online
-    // top-k runs only); fall back to the miss path.
-    st.via_cache = false;
+  if (p.kind != SystemKind::kCcKvs) {
     RouteMiss(slot);
     return;
   }
-  if (engine_->model() == ConsistencyModel::kSc && !AllPeersHaveBcastCredit()) {
+  Value value;
+  Timestamp ts;
+  const Route route =
+      core_.RouteOp(st.op, &value, &ts, [this, slot](const Value& v, Timestamp t) {
+        CompleteOp(slot, v, t, Route::kCache);
+      });
+  switch (route) {
+    case Route::kL1:
+    case Route::kCache:
+      workers_->Submit(route == Route::kL1 ? p.cpu.l1_hit_ns : p.cpu.cache_hit_ns,
+                       [this, slot, value, ts, route] {
+                         CompleteOp(slot, value, ts, route);
+                       });
+      return;
+    case Route::kCacheBlocked:
+      return;  // the parked-reader callback completes the op
+    case Route::kCacheWrite:
+      workers_->Submit(p.cpu.cache_write_ns, [this, slot] { ExecuteCachePut(slot); });
+      return;
+    case Route::kMiss:
+      RouteMiss(slot);
+      return;
+  }
+}
+
+void RackNode::ExecuteCachePut(std::uint32_t slot) {
+  const Op& op = ops_[slot].op;
+  if (params().consistency == ConsistencyModel::kSc && !AllPeersHaveBcastCredit() &&
+      core_.Caches(op.key)) {
     // SC writes complete as soon as the update broadcast is posted, so posting
     // is the throttle point: without credits for every peer the op waits.
     // (Lin writes are inherently throttled by their ack round.)
     parked_sc_writes_.push_back(slot);
     return;
   }
-  engine_->Write(key, st.op.value, [this, slot, key] {
-    // For Lin, pending_ts still holds the completed write's timestamp; for SC
-    // the entry timestamp is the write's own (done fires synchronously).
-    CacheEntry* e = cache_->Find(key);
-    const Timestamp ts =
-        (engine_->model() == ConsistencyModel::kLin && e != nullptr) ? e->pending_ts
-        : e != nullptr                                               ? e->ts()
-                                                                     : Timestamp{};
-    CompleteOp(slot, ops_[slot].op.value, ts, true);
-  });
+  if (!core_.StartCacheWrite(op.key, op.value, [this, slot](Timestamp ts) {
+        CompleteOp(slot, ops_[slot].op.value, ts, Route::kCache);
+      })) {
+    // The key churned out of the hot set between probe and execution (online
+    // top-k runs only); fall back to the miss path.
+    RouteMiss(slot);
+  }
 }
 
 void RackNode::RouteMiss(std::uint32_t slot) {
@@ -597,7 +471,7 @@ void RackNode::RouteMiss(std::uint32_t slot) {
     req.value = st.op.value;
     KvsPoolFor(st.op.key).Submit(params().cpu.kvs_op_ns, [this, slot, req] {
       ExecuteKvsOpAsync(req, [this, slot](const RpcResponse& resp) {
-        CompleteOp(slot, resp.value, resp.ts, false);
+        CompleteOp(slot, resp.value, resp.ts, Route::kMiss);
       });
     });
     return;
@@ -626,28 +500,21 @@ Partition& RackNode::PartitionFor(Key key) {
 
 void RackNode::ExecuteKvsOpAsync(const RpcRequest& req,
                                  std::function<void(const RpcResponse&)> respond) {
-  if (cache_ != nullptr && cache_->Find(req.key) != nullptr) {
+  if (core_.Caches(req.key)) {
     if (req.op == OpType::kGet) {
       Value value;
       Timestamp ts;
-      const auto result = engine_->Read(
+      const Route route = core_.CacheRead(
           req.key, &value, &ts,
           [op_id = req.op_id, respond](const Value& v, Timestamp t) {
             respond(RpcResponse{op_id, v, t});
           });
-      if (result == CoherenceEngine::ReadResult::kHit) {
+      if (route == Route::kCache) {
         respond(RpcResponse{req.op_id, value, ts});
       }
       return;
     }
-    engine_->Write(req.key, req.value, [this, key = req.key, op_id = req.op_id,
-                                        respond] {
-      CacheEntry* e = cache_->Find(key);
-      const Timestamp ts =
-          (engine_->model() == ConsistencyModel::kLin && e != nullptr)
-              ? e->pending_ts
-          : e != nullptr ? e->ts()
-                         : Timestamp{};
+    core_.StartCacheWrite(req.key, req.value, [op_id = req.op_id, respond](Timestamp ts) {
       respond(RpcResponse{op_id, Value{}, ts});
     });
     return;
@@ -659,24 +526,21 @@ void RackNode::ExecuteKvsOpAsync(const RpcRequest& req,
   Partition& part = PartitionFor(req.key);
   RpcResponse resp;
   resp.op_id = req.op_id;
+  bool gated = false;
   if (req.op == OpType::kGet) {
-    bool resident = false;
-    const bool ok = part.Get(req.key, &resp.value, &resp.ts, &resident);
+    const bool ok = part.Get(req.key, &resp.value, &resp.ts, &gated);
     CCKVS_CHECK(ok);  // the synthesizer guarantees every GET succeeds
-    if (resident) {
-      parked_gated_.push_back(ParkedShardOp{req, std::move(respond)});
-      return;
-    }
   } else {
-    if (!part.TryPut(req.key, req.value, &resp.ts)) {
-      parked_gated_.push_back(ParkedShardOp{req, std::move(respond)});
-      return;
-    }
-    if (l1_ != nullptr) {
-      // Home-side shard write: a peer (or this node) just overwrote a key this
-      // node may hold privately.
-      l1_->Invalidate(req.key);
-    }
+    gated = !part.TryPut(req.key, req.value, &resp.ts);
+  }
+  if (gated) {
+    parked_gated_.push_back(ParkedShardOp{req, std::move(respond)});
+    return;
+  }
+  if (req.op == OpType::kPut) {
+    // Home-side shard write: a peer (or this node) just overwrote a key this
+    // node may hold privately.
+    core_.OnServedWrite(req.key);
   }
   respond(resp);
 }
@@ -689,8 +553,9 @@ void RackNode::RetryGatedShardOps() {
   parked.swap(parked_gated_);
   const RackParams& p = params();
   for (ParkedShardOp& op : parked) {
-    const bool cached = cache_ != nullptr && cache_->Find(op.req.key) != nullptr;
-    if (!cached && hot_mgr_ != nullptr && hot_mgr_->ShardGated(op.req.key)) {
+    const HotSetManager* hot_mgr = core_.hot_set_manager();
+    if (!core_.Caches(op.req.key) && hot_mgr != nullptr &&
+        hot_mgr->ShardGated(op.req.key)) {
       parked_gated_.push_back(std::move(op));  // still waiting on the barrier
       continue;
     }
@@ -700,13 +565,6 @@ void RackNode::RetryGatedShardOps() {
           ExecuteKvsOpAsync(req, std::move(respond));
         });
   }
-}
-
-std::uint32_t RackNode::RequestPayloadBytes(const Op& op) const {
-  const WireFormat& wf = params().wire;
-  return op.type == OpType::kGet
-             ? wf.request_payload
-             : wf.request_payload + static_cast<std::uint32_t>(op.value.size());
 }
 
 std::uint32_t RackNode::RequestPayloadBytes(const RpcRequest& req) const {
@@ -737,104 +595,79 @@ void RackNode::EnqueueRpc(std::uint32_t slot, NodeId home) {
   req.op = st.op.type;
   req.key = st.op.key;
   req.value = st.op.value;
-
-  const RackParams& p = params();
-  if (p.coalescing) {
-    ReqCoalesceBuf& buf = req_coalesce_[home];
-    if (buf.reqs.empty()) {
-      sim().After(p.coalesce_window_ns, [this, home] { FlushRequestBuffer(home); });
-    }
-    buf.payload_bytes += RequestPayloadBytes(req);
-    buf.reqs.push_back(std::move(req));
-    if (static_cast<int>(buf.reqs.size()) >= p.coalesce_max_batch) {
-      FlushRequestBuffer(home);
-    }
+  const std::uint32_t payload = RequestPayloadBytes(req);
+  if (params().coalescing) {
+    Coalesce(&req_coalesce_, home, TrafficClass::kRemoteRequest, std::move(req), payload);
     return;
   }
-
-  auto body = std::make_shared<Buffer>();
-  const std::uint32_t nominal = RequestPayloadBytes(req);
-  SerializeBatch(std::vector<RpcRequest>{req}, body.get());
-  UdQp::SendWr wr;
-  wr.dst = home;
-  wr.dst_qpn = static_cast<std::uint16_t>(
+  const auto qpn = static_cast<std::uint16_t>(
       kQpRpcBase + (rpc_qps_.size() > 1 ? KvsThreadFor(req.key) : 0));
-  wr.cls = TrafficClass::kRemoteRequest;
-  wr.header_bytes = p.wire.header_bytes;
-  wr.body = std::move(body);
-  wr.payload_bytes_override = nominal;
-  const SimTime cpu = rpc_qps_[0]->PostSendBatch({wr});
-  workers_->Submit(cpu, nullptr);
-}
-
-void RackNode::FlushRequestBuffer(NodeId dst) {
-  ReqCoalesceBuf& buf = req_coalesce_[dst];
-  if (buf.reqs.empty()) {
-    return;
-  }
-  auto body = std::make_shared<Buffer>();
-  SerializeBatch(buf.reqs, body.get());
-  UdQp::SendWr wr;
-  wr.dst = dst;
-  wr.dst_qpn = kQpRpcBase;
-  wr.cls = TrafficClass::kRemoteRequest;
-  wr.header_bytes = params().wire.header_bytes +
-                    kCoalesceFramingBytes * static_cast<std::uint32_t>(buf.reqs.size());
-  wr.body = std::move(body);
-  wr.payload_bytes_override = buf.payload_bytes;
-  const SimTime cpu = rpc_qps_[0]->PostSendBatch({wr});
-  workers_->Submit(cpu, nullptr);
-  buf.reqs.clear();
-  buf.payload_bytes = 0;
+  PostRpc(home, qpn, TrafficClass::kRemoteRequest,
+          std::vector<RpcRequest>{std::move(req)}, payload, /*framed=*/0);
 }
 
 void RackNode::RespondRpc(NodeId dst, RpcResponse resp, OpType op_type) {
-  const RackParams& p = params();
-  if (p.coalescing) {
-    RespCoalesceBuf& buf = resp_coalesce_[dst];
-    if (buf.resps.empty()) {
-      sim().After(p.coalesce_window_ns, [this, dst] { FlushResponseBuffer(dst); });
-    }
-    buf.payload_bytes += ResponsePayloadBytes(op_type);
-    buf.resps.push_back(std::move(resp));
-    if (static_cast<int>(buf.resps.size()) >= p.coalesce_max_batch) {
-      FlushResponseBuffer(dst);
-    }
+  const std::uint32_t payload = ResponsePayloadBytes(op_type);
+  if (params().coalescing) {
+    Coalesce(&resp_coalesce_, dst, TrafficClass::kRemoteResponse, std::move(resp),
+             payload);
     return;
   }
+  PostRpc(dst, kQpRpcBase, TrafficClass::kRemoteResponse,
+          std::vector<RpcResponse>{std::move(resp)}, payload, /*framed=*/0);
+}
+
+template <typename Msg>
+void RackNode::Coalesce(std::vector<CoalesceBuf<Msg>>* bufs, NodeId dst, TrafficClass cls,
+                        Msg msg, std::uint32_t payload_bytes) {
+  const RackParams& p = params();
+  CoalesceBuf<Msg>& buf = (*bufs)[dst];
+  if (buf.msgs.empty()) {
+    sim().After(p.coalesce_window_ns,
+                [this, bufs, dst, cls] { FlushCoalesced(bufs, dst, cls); });
+  }
+  buf.payload_bytes += payload_bytes;
+  buf.msgs.push_back(std::move(msg));
+  if (static_cast<int>(buf.msgs.size()) >= p.coalesce_max_batch) {
+    FlushCoalesced(bufs, dst, cls);
+  }
+}
+
+template <typename Msg>
+void RackNode::FlushCoalesced(std::vector<CoalesceBuf<Msg>>* bufs, NodeId dst,
+                              TrafficClass cls) {
+  CoalesceBuf<Msg>& buf = (*bufs)[dst];
+  if (buf.msgs.empty()) {
+    return;
+  }
+  PostRpc(dst, kQpRpcBase, cls, buf.msgs, buf.payload_bytes, buf.msgs.size());
+  buf.msgs.clear();
+  buf.payload_bytes = 0;
+}
+
+template <typename Msg>
+void RackNode::PostRpc(NodeId dst, std::uint16_t qpn, TrafficClass cls,
+                       const std::vector<Msg>& msgs, std::uint32_t payload_bytes,
+                       std::size_t framed) {
   auto body = std::make_shared<Buffer>();
-  const std::uint32_t nominal = ResponsePayloadBytes(op_type);
-  SerializeBatch(std::vector<RpcResponse>{resp}, body.get());
-  UdQp::SendWr wr;
-  wr.dst = dst;
-  wr.dst_qpn = kQpRpcBase;
-  wr.cls = TrafficClass::kRemoteResponse;
-  wr.header_bytes = p.wire.header_bytes;
-  wr.body = std::move(body);
-  wr.payload_bytes_override = nominal;
-  const SimTime cpu = rpc_qps_[0]->PostSendBatch({wr});
+  SerializeBatch(msgs, body.get());
+  const SimTime cpu = rpc_qps_[0]->PostSendBatch(
+      {MakeWr(dst, qpn, cls, std::move(body), payload_bytes, framed)});
   workers_->Submit(cpu, nullptr);
 }
 
-void RackNode::FlushResponseBuffer(NodeId dst) {
-  RespCoalesceBuf& buf = resp_coalesce_[dst];
-  if (buf.resps.empty()) {
-    return;
-  }
-  auto body = std::make_shared<Buffer>();
-  SerializeBatch(buf.resps, body.get());
+UdQp::SendWr RackNode::MakeWr(NodeId dst, std::uint16_t qpn, TrafficClass cls,
+                              std::shared_ptr<const Buffer> body,
+                              std::uint32_t payload_bytes, std::size_t framed) const {
   UdQp::SendWr wr;
   wr.dst = dst;
-  wr.dst_qpn = kQpRpcBase;
-  wr.cls = TrafficClass::kRemoteResponse;
+  wr.dst_qpn = qpn;
+  wr.cls = cls;
   wr.header_bytes = params().wire.header_bytes +
-                    kCoalesceFramingBytes * static_cast<std::uint32_t>(buf.resps.size());
+                    kCoalesceFramingBytes * static_cast<std::uint32_t>(framed);
   wr.body = std::move(body);
-  wr.payload_bytes_override = buf.payload_bytes;
-  const SimTime cpu = rpc_qps_[0]->PostSendBatch({wr});
-  workers_->Submit(cpu, nullptr);
-  buf.resps.clear();
-  buf.payload_bytes = 0;
+  wr.payload_bytes_override = payload_bytes;
+  return wr;
 }
 
 void RackNode::DrainPendingRpc(NodeId peer) {
@@ -846,28 +679,11 @@ void RackNode::DrainPendingRpc(NodeId peer) {
 }
 
 void RackNode::CompleteOp(std::uint32_t slot, const Value& read_value, Timestamp ts,
-                          bool via_cache) {
+                          Route route) {
   OpState& st = ops_[slot];
   CCKVS_CHECK(st.in_use);
-  ++completed_;
-  if (via_cache) {
-    ++hit_completed_;
-  } else {
-    ++miss_completed_;
-  }
+  core_.CompleteOp(st.op, route, read_value, ts);
   latency_.Record(sim().now() - st.start);
-
-  if (l1_ != nullptr && st.op.type == OpType::kPut) {
-    // Invalidate again at completion (see live_node.cc): a stale in-flight
-    // GET response may have refilled the key after the routing-time
-    // invalidation; per-pair FIFO delivery guarantees that fill landed
-    // before this write's own response, so this drop is ordered last.
-    l1_->Invalidate(st.op.key);
-  }
-  if (l1_ != nullptr && !via_cache && st.op.type == OpType::kGet) {
-    // Authoritative miss read: offer it to the sketch and maybe admit.
-    MaybeAdmitToL1(st.op.key, read_value, ts);
-  }
 
   if (params().record_history) {
     HistoryOp h;
@@ -893,22 +709,27 @@ void RackNode::CompleteOp(std::uint32_t slot, const Value& read_value, Timestamp
 // Consistency traffic
 // ---------------------------------------------------------------------------
 
-void RackNode::SendConsistency(NodeId peer, TrafficClass cls,
-                               std::uint32_t payload_bytes,
-                               std::shared_ptr<const Buffer> body,
-                               std::vector<UdQp::SendWr>* batch) {
-  if (!bcast_credits_.TryAcquire(peer)) {
-    pending_bcast_[peer].push_back(PendingBcast{cls, payload_bytes, std::move(body)});
-    return;
+void RackNode::BroadcastConsistency(TrafficClass cls, std::uint32_t payload_bytes,
+                                    const std::shared_ptr<const Buffer>& body) {
+  std::vector<UdQp::SendWr> batch;
+  for (int j = 0; j < params().num_nodes; ++j) {
+    const auto peer = static_cast<NodeId>(j);
+    if (j == id_) {
+      continue;
+    }
+    if (bcast_credits_.TryAcquire(peer)) {
+      batch.push_back(MakeWr(peer, kQpConsistency, cls, body, payload_bytes));
+    } else {
+      pending_bcast_[peer].push_back(PendingBcast{cls, payload_bytes, body});
+    }
   }
-  UdQp::SendWr wr;
-  wr.dst = peer;
-  wr.dst_qpn = kQpConsistency;
-  wr.cls = cls;
-  wr.header_bytes = params().wire.header_bytes;
-  wr.body = std::move(body);
-  wr.payload_bytes_override = payload_bytes;
-  batch->push_back(std::move(wr));
+  PostConsistency(batch);
+}
+
+void RackNode::PostConsistency(const std::vector<UdQp::SendWr>& batch) {
+  if (!batch.empty()) {
+    workers_->Submit(consistency_qp_->PostSendBatch(batch), nullptr);
+  }
 }
 
 void RackNode::BroadcastUpdate(const UpdateMsg& msg) {
@@ -924,14 +745,7 @@ void RackNode::BroadcastUpdate(const UpdateMsg& msg) {
   if (p.multicast_updates) {
     // §6.3 ablation: single message to the switch, replicated at egress.  Only
     // taken when every peer has credit; otherwise fall through to unicast.
-    bool all_credits = true;
-    for (int j = 0; j < p.num_nodes; ++j) {
-      if (j != id_ && bcast_credits_.available(static_cast<NodeId>(j)) == 0) {
-        all_credits = false;
-        break;
-      }
-    }
-    if (all_credits) {
+    if (AllPeersHaveBcastCredit()) {
       std::vector<NodeId> dsts;
       for (int j = 0; j < p.num_nodes; ++j) {
         if (j != id_) {
@@ -939,31 +753,16 @@ void RackNode::BroadcastUpdate(const UpdateMsg& msg) {
           dsts.push_back(static_cast<NodeId>(j));
         }
       }
-      UdQp::SendWr wr;
-      wr.dst_qpn = kQpConsistency;
-      wr.cls = TrafficClass::kUpdate;
-      wr.header_bytes = p.wire.header_bytes;
-      wr.body = body;
-      wr.payload_bytes_override = payload;
-      const SimTime cpu = consistency_qp_->PostMulticast(wr, dsts);
+      const SimTime cpu = consistency_qp_->PostMulticast(
+          MakeWr(/*dst=*/0, kQpConsistency, TrafficClass::kUpdate, body, payload), dsts);
       workers_->Submit(cpu, nullptr);
       updates_sent_ += dsts.size();
       return;
     }
   }
 
-  std::vector<UdQp::SendWr> batch;
-  for (int j = 0; j < p.num_nodes; ++j) {
-    if (j != id_) {
-      SendConsistency(static_cast<NodeId>(j), TrafficClass::kUpdate, payload, body,
-                      &batch);
-    }
-  }
+  BroadcastConsistency(TrafficClass::kUpdate, payload, body);
   updates_sent_ += p.num_nodes - 1;
-  if (!batch.empty()) {
-    const SimTime cpu = consistency_qp_->PostSendBatch(batch);
-    workers_->Submit(cpu, nullptr);
-  }
 }
 
 void RackNode::BroadcastInvalidate(const InvalidateMsg& msg) {
@@ -973,18 +772,8 @@ void RackNode::BroadcastInvalidate(const InvalidateMsg& msg) {
   }
   auto body = std::make_shared<Buffer>();
   Serialize(msg, body.get());
-  std::vector<UdQp::SendWr> batch;
-  for (int j = 0; j < p.num_nodes; ++j) {
-    if (j != id_) {
-      SendConsistency(static_cast<NodeId>(j), TrafficClass::kInvalidation,
-                      p.wire.invalidation_payload, body, &batch);
-    }
-  }
+  BroadcastConsistency(TrafficClass::kInvalidation, p.wire.invalidation_payload, body);
   invs_sent_ += p.num_nodes - 1;
-  if (!batch.empty()) {
-    const SimTime cpu = consistency_qp_->PostSendBatch(batch);
-    workers_->Submit(cpu, nullptr);
-  }
 }
 
 void RackNode::SendAck(NodeId to, const AckMsg& msg) {
@@ -992,15 +781,8 @@ void RackNode::SendAck(NodeId to, const AckMsg& msg) {
   // bound them, so they ride on implicit credits (§6.3).
   auto body = std::make_shared<Buffer>();
   Serialize(msg, body.get());
-  UdQp::SendWr wr;
-  wr.dst = to;
-  wr.dst_qpn = kQpConsistency;
-  wr.cls = TrafficClass::kAck;
-  wr.header_bytes = params().wire.header_bytes;
-  wr.body = std::move(body);
-  wr.payload_bytes_override = params().wire.ack_payload;
-  const SimTime cpu = consistency_qp_->PostSendBatch({wr});
-  workers_->Submit(cpu, nullptr);
+  PostConsistency({MakeWr(to, kQpConsistency, TrafficClass::kAck, std::move(body),
+                          params().wire.ack_payload)});
   ++acks_sent_;
 }
 
@@ -1009,19 +791,10 @@ void RackNode::DrainPendingBcast(NodeId peer) {
   while (!pending_bcast_[peer].empty() && bcast_credits_.TryAcquire(peer)) {
     PendingBcast pb = std::move(pending_bcast_[peer].front());
     pending_bcast_[peer].pop_front();
-    UdQp::SendWr wr;
-    wr.dst = peer;
-    wr.dst_qpn = kQpConsistency;
-    wr.cls = pb.cls;
-    wr.header_bytes = params().wire.header_bytes;
-    wr.body = std::move(pb.body);
-    wr.payload_bytes_override = pb.payload_bytes;
-    batch.push_back(std::move(wr));
+    batch.push_back(
+        MakeWr(peer, kQpConsistency, pb.cls, std::move(pb.body), pb.payload_bytes));
   }
-  if (!batch.empty()) {
-    const SimTime cpu = consistency_qp_->PostSendBatch(batch);
-    workers_->Submit(cpu, nullptr);
-  }
+  PostConsistency(batch);
 }
 
 void RackNode::MaybeSendCreditUpdate(NodeId peer) {
@@ -1065,7 +838,7 @@ void RackNode::OnRpcRecv(const Datagram& dg) {
         for (const RpcResponse& resp : resps) {
           rpc_credits_.Release(src);
           const std::uint32_t slot = resp.op_id;
-          CompleteOp(slot, resp.value, resp.ts, false);
+          CompleteOp(slot, resp.value, resp.ts, Route::kMiss);
         }
         DrainPendingRpc(src);
       });
@@ -1077,22 +850,7 @@ void RackNode::OnConsistencyRecv(const Datagram& dg) {
   switch (dg.cls) {
     case TrafficClass::kUpdate: {
       workers_->Submit(p.cpu.upd_apply_ns, [this, dg] {
-        const UpdateMsg msg = DeserializeUpdate(*dg.body);
-        if (l1_ != nullptr) {
-          l1_->Invalidate(msg.key);  // a peer wrote: drop the private copy
-        }
-        if (cache_->Find(msg.key) != nullptr) {
-          engine_->OnUpdate(dg.src, msg);
-        } else if (rack_->HomeOf(msg.key) == id_) {
-          // The key churned out of the hot set mid-write: complete the
-          // write-back directly into the home shard.
-          PartitionFor(msg.key).Apply(msg.key, msg.value, msg.ts);
-        } else if (hot_mgr_ != nullptr) {
-          // Uncached and homed elsewhere: our membership lags an announce in
-          // flight.  Remember the update so a stashed fill cannot resurrect
-          // an older value (hot_set_manager.h, fill-vs-announce race).
-          hot_mgr_->NoteUncachedUpdate(msg.key, msg.value, msg.ts);
-        }
+        core_.OnUpdate(dg.src, DeserializeUpdate(*dg.body));
         MaybeSendCreditUpdate(dg.src);
         MaybeRetryDeferred();
       });
@@ -1100,22 +858,14 @@ void RackNode::OnConsistencyRecv(const Datagram& dg) {
     }
     case TrafficClass::kInvalidation: {
       workers_->Submit(p.cpu.inv_apply_ns, [this, dg] {
-        const InvalidateMsg msg = DeserializeInvalidate(*dg.body);
-        if (l1_ != nullptr) {
-          l1_->Invalidate(msg.key);
-        }
-        if (hot_mgr_ != nullptr && cache_->Find(msg.key) == nullptr) {
-          hot_mgr_->NoteUncachedInvalidate(msg.key, msg.ts);
-        }
-        engine_->OnInvalidate(dg.src, msg);  // acks unconditionally, even if cold
+        core_.OnInvalidate(dg.src, DeserializeInvalidate(*dg.body));
         MaybeSendCreditUpdate(dg.src);
       });
       break;
     }
     case TrafficClass::kAck: {
       workers_->Submit(p.cpu.ack_apply_ns, [this, dg] {
-        const AckMsg msg = DeserializeAck(*dg.body);
-        engine_->OnAck(dg.src, msg);
+        core_.OnAck(dg.src, DeserializeAck(*dg.body));
         MaybeRetryDeferred();  // the ack may have completed a deferring write
       });
       break;
@@ -1160,17 +910,10 @@ SimTime RackNode::BroadcastControl(std::shared_ptr<const Buffer> body,
                                    std::uint32_t payload_bytes_override) {
   std::vector<UdQp::SendWr> batch;
   for (int j = 0; j < params().num_nodes; ++j) {
-    if (j == id_) {
-      continue;
+    if (j != id_) {
+      batch.push_back(
+          MakeWr(static_cast<NodeId>(j), kQpControl, cls, body, payload_bytes_override));
     }
-    UdQp::SendWr wr;
-    wr.dst = static_cast<NodeId>(j);
-    wr.dst_qpn = kQpControl;
-    wr.cls = cls;
-    wr.header_bytes = params().wire.header_bytes;
-    wr.body = body;
-    wr.payload_bytes_override = payload_bytes_override;
-    batch.push_back(std::move(wr));
   }
   return control_qp_->PostSendBatch(batch);
 }
@@ -1184,42 +927,17 @@ void RackNode::AnnounceHotSet(const HotSetAnnounceMsg& msg) {
 }
 
 void RackNode::ApplyAnnounce(const HotSetAnnounceMsg& msg) {
-  if (hot_mgr_ == nullptr) {
-    return;
-  }
-  if (l1_ != nullptr) {
-    // Tier exclusivity: keys entering the symmetric tier leave the L1.
-    for (const Key key : msg.keys) {
-      l1_->Invalidate(key);
-    }
-  }
-  hot_mgr_->DriveAnnounce(msg);  // executes the transition via the hooks below
-  RetryGatedShardOps();          // a re-admission may have unparked shard ops
+  core_.ApplyAnnounce(msg);  // executes the transition via the HotSetHost hooks
+  RetryGatedShardOps();      // a re-admission may have unparked shard ops
 }
 
 void RackNode::MaybeRetryDeferred() {
-  if (hot_mgr_ != nullptr && hot_mgr_->HasDeferred()) {
-    hot_mgr_->DriveDeferred();
+  if (core_.DriveDeferred()) {
     RetryGatedShardOps();
   }
 }
 
-// --- HotSetHost hooks: the sim half of the shared transition machine ---
-
-void RackNode::ApplyWriteback(const SymmetricCache::Eviction& ev) {
-  // §4: "only the node containing the shard with the evicted key needs to ...
-  // update the underlying KVS"; symmetric contents make the local copy
-  // sufficient.
-  if (l1_ != nullptr) {
-    l1_->Invalidate(ev.key);  // the write-back may carry a newer value
-  }
-  PartitionFor(ev.key).Apply(ev.key, ev.value, ev.ts);
-}
-
-RackNode::FillSnapshot RackNode::GateAndSnapshot(Key key) {
-  const Partition::ResidentSnapshot snap = PartitionFor(key).MarkCacheResident(key);
-  return FillSnapshot{snap.value, snap.ts};
-}
+// --- HotSetHost publication hooks: the sim half of the transition machine ---
 
 void RackNode::PublishFills(const std::vector<FillMsg>& fills) {
   const RackParams& p = params();
@@ -1247,10 +965,6 @@ void RackNode::PublishInstalled(const EpochInstalledMsg& msg) {
   workers_->Submit(cpu, nullptr);
 }
 
-void RackNode::LiftGate(Key key) {
-  PartitionFor(key).ClearCacheResident(key);
-}
-
 void RackNode::OnControlRecv(const Datagram& dg) {
   control_qp_->PostRecvs(1);
   if (dg.cls == TrafficClass::kControl) {
@@ -1264,11 +978,11 @@ void RackNode::OnControlRecv(const Datagram& dg) {
       // applied, so a lifted gate can never expose a shard read to a value
       // the barrier was waiting to drain.
       workers_->Submit(params().cpu.upd_apply_ns, [this, dg] {
-        if (hot_mgr_ == nullptr) {
+        HotSetManager* hot_mgr = core_.hot_set_manager();
+        if (hot_mgr == nullptr) {
           return;
         }
-        const EpochInstalledMsg msg = DeserializeEpochInstalled(*dg.body);
-        hot_mgr_->DrivePeerInstalled(dg.src, msg.epoch);
+        hot_mgr->DrivePeerInstalled(dg.src, DeserializeEpochInstalled(*dg.body).epoch);
         RetryGatedShardOps();  // lifted gates release parked shard ops
       });
     }
@@ -1280,14 +994,8 @@ void RackNode::OnControlRecv(const Datagram& dg) {
 
 void RackNode::HandleFills(const Datagram& dg) {
   workers_->Submit(params().cpu.upd_apply_ns, [this, dg] {
-    if (hot_mgr_ == nullptr) {
-      return;
-    }
     for (const FillMsg& f : DeserializeFills(*dg.body)) {
-      if (l1_ != nullptr) {
-        l1_->Invalidate(f.key);  // tier exclusivity on epoch admission
-      }
-      hot_mgr_->ApplyFill(f);
+      core_.ApplyFill(f);
     }
     MaybeRetryDeferred();   // fills may have released reader-parked evictions
     RetryGatedShardOps();   // a filled key now serves parked ops via the cache
@@ -1296,17 +1004,14 @@ void RackNode::HandleFills(const Datagram& dg) {
 
 RackNode::Snapshot RackNode::TakeSnapshot() const {
   Snapshot s;
-  s.completed = completed_;
-  s.hit_completed = hit_completed_;
-  s.miss_completed = miss_completed_;
+  s.counts = core_.counts();
   s.updates_sent = updates_sent_;
   s.invs_sent = invs_sent_;
   s.acks_sent = acks_sent_;
   s.credit_updates_sent = credit_updates_sent_;
-  if (l1_ != nullptr) {
-    s.l1_hits = l1_hits_;
-    s.l1_fills = l1_->stats().fills;
-    s.l1_invalidations = l1_->stats().invalidations;
+  if (const L1TailCache* l1 = core_.l1(); l1 != nullptr) {
+    s.l1_fills = l1->stats().fills;
+    s.l1_invalidations = l1->stats().invalidations;
   }
   s.worker_busy = workers_->busy_time();
   for (const auto& pool : kvs_pools_) {
@@ -1347,10 +1052,10 @@ RackSimulation::RackSimulation(const RackParams& params) : params_(params) {
     const std::vector<Key> hot = probe.HottestKeys(params_.cache_capacity);
     if (params_.kind == SystemKind::kCentralCache) {
       hot_set_.insert(hot.begin(), hot.end());
-      nodes_[0]->PrefillHotSet(hot);
+      nodes_[0]->core().PrefillHotSet(hot);
     } else {
       for (auto& node : nodes_) {
-        node->PrefillHotSet(hot);
+        node->core().PrefillHotSet(hot);
       }
     }
   }
@@ -1361,16 +1066,16 @@ RackSimulation::~RackSimulation() = default;
 NodeId RackSimulation::HomeOf(Key key) const { return partitioner_->HomeOf(key); }
 
 const SymmetricCache* RackSimulation::cache(NodeId node) const {
-  return nodes_[node]->cache();
+  return nodes_[node]->core().cache();
 }
 const CoherenceEngine* RackSimulation::engine(NodeId node) const {
-  return nodes_[node]->engine();
+  return nodes_[node]->core().engine();
 }
 const Partition* RackSimulation::partition(NodeId node, int kvs_thread) const {
   return nodes_[node]->partition(kvs_thread);
 }
 const HotSetManager* RackSimulation::hot_set_manager(NodeId node) const {
-  return nodes_[node]->hot_set_manager();
+  return nodes_[node]->core().hot_set_manager();
 }
 
 RackReport RackSimulation::Run(SimTime measure_ns, SimTime warmup_ns, bool drain) {
@@ -1385,7 +1090,7 @@ RackReport RackSimulation::Run(SimTime measure_ns, SimTime warmup_ns, bool drain
   // Snapshot at the end of warmup.
   at_warmup_ = std::make_unique<Counters>();
   const int num_classes = static_cast<int>(TrafficClass::kNumClasses);
-  const HotSetManager* coord = nodes_[0]->hot_set_manager();
+  const HotSetManager* coord = nodes_[0]->core().hot_set_manager();
   at_warmup_->at = sim_.now();
   at_warmup_->epochs = coord != nullptr ? coord->epochs_closed() : 0;
   for (auto& node : nodes_) {
@@ -1412,14 +1117,15 @@ RackReport RackSimulation::Run(SimTime measure_ns, SimTime warmup_ns, bool drain
   for (std::size_t i = 0; i < nodes_.size(); ++i) {
     const RackNode::Snapshot now = nodes_[i]->TakeSnapshot();
     const RackNode::Snapshot& base = at_warmup_->nodes[i];
-    totals.completed += now.completed - base.completed;
-    totals.hit_completed += now.hit_completed - base.hit_completed;
-    totals.miss_completed += now.miss_completed - base.miss_completed;
+    NodeCore::Counts& c = totals.counts;
+    c.completed += now.counts.completed - base.counts.completed;
+    c.hit_completed += now.counts.hit_completed - base.counts.hit_completed;
+    c.miss_completed += now.counts.miss_completed - base.counts.miss_completed;
+    c.l1_hits += now.counts.l1_hits - base.counts.l1_hits;
     totals.updates_sent += now.updates_sent - base.updates_sent;
     totals.invs_sent += now.invs_sent - base.invs_sent;
     totals.acks_sent += now.acks_sent - base.acks_sent;
     totals.credit_updates_sent += now.credit_updates_sent - base.credit_updates_sent;
-    totals.l1_hits += now.l1_hits - base.l1_hits;
     totals.l1_fills += now.l1_fills - base.l1_fills;
     totals.l1_invalidations += now.l1_invalidations - base.l1_invalidations;
     totals.worker_busy += now.worker_busy - base.worker_busy;
@@ -1427,8 +1133,8 @@ RackReport RackSimulation::Run(SimTime measure_ns, SimTime warmup_ns, bool drain
     latency.Merge(nodes_[i]->latency());
   }
 
-  FillThroughput(totals.completed, totals.hit_completed, totals.miss_completed,
-                 duration_ns, &report);
+  FillThroughput(totals.counts.completed, totals.counts.hit_completed,
+                 totals.counts.miss_completed, duration_ns, &report);
   FillLatency(latency, &report);
 
   const double n = static_cast<double>(params_.num_nodes);
@@ -1462,7 +1168,7 @@ RackReport RackSimulation::Run(SimTime measure_ns, SimTime warmup_ns, bool drain
   report.credit_updates_sent = totals.credit_updates_sent;
   report.epochs = coord != nullptr ? coord->epochs_closed() - at_warmup_->epochs : 0;
   report.hot_set_churn = coord != nullptr ? coord->last_epoch_churn() : 0;
-  report.l1_hits = totals.l1_hits;
+  report.l1_hits = totals.counts.l1_hits;
   report.l1_fills = totals.l1_fills;
   report.l1_invalidations = totals.l1_invalidations;
 

@@ -90,7 +90,7 @@ void ScEngine::ApplyWrite(Key key, CacheEntry* entry, const Value& value,
   sink_->BroadcastUpdate(update_scratch_);
   ++stats_.writes_completed;
   if (done != nullptr) {
-    done();
+    done(ts);
   }
   WakeReaders(key);
 }
@@ -256,7 +256,7 @@ void LinEngine::CompleteWrite(Key key, CacheEntry* entry) {
   WriteDone done = std::move(done_it->second);
   pending_done_.erase(done_it);
   if (done != nullptr) {
-    done();
+    done(entry->pending_ts);
   }
   if (entry->state() == CacheState::kValid) {
     WakeReaders(key);

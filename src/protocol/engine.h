@@ -87,7 +87,8 @@ struct EngineStats {
 
 class CoherenceEngine {
  public:
-  using WriteDone = std::function<void()>;
+  // Completed writes report the timestamp they were serialized at.
+  using WriteDone = std::function<void(Timestamp)>;
   // Blocked reads resume with the value and timestamp they finally observed.
   using ReadDone = std::function<void(const Value&, Timestamp)>;
 
@@ -100,8 +101,9 @@ class CoherenceEngine {
   CoherenceEngine(const CoherenceEngine&) = delete;
   CoherenceEngine& operator=(const CoherenceEngine&) = delete;
 
-  // A put that hit the cache.  `done` fires when the write completes under the
-  // model's rules (SC: immediately; Lin: after all acks + update broadcast).
+  // A put that hit the cache.  `done` fires with the write's timestamp when
+  // the write completes under the model's rules (SC: immediately; Lin: after
+  // all acks + update broadcast).
   virtual WriteResult Write(Key key, const Value& value, WriteDone done) = 0;
 
   // A get that hit the cache.  kHit: *value/*ts are filled and `done` is not

@@ -26,6 +26,7 @@ LiveNode::LiveNode(LiveRack* rack, NodeId id, WorkloadGenerator gen)
     : rack_(rack),
       id_(id),
       ep_(&rack->transport().endpoint(id)),
+      core_(CoreConfig(), ep_, this),
       gen_(std::move(gen)) {
   const LiveRackParams& p = rack->params();
   quota_ = p.ops_per_node;
@@ -63,43 +64,6 @@ LiveNode::LiveNode(LiveRack* rack, NodeId id, WorkloadGenerator gen)
   };
   partition_ = std::make_unique<Partition>(pc);
 
-  cache_ = std::make_unique<SymmetricCache>(p.cache_capacity);
-  if (p.l1_capacity > 0) {
-    l1_ = std::make_unique<L1TailCache>(p.l1_capacity, p.l1_policy,
-                                        p.workload.value_bytes);
-    // The sketch needs headroom over the L1 so candidates can out-count
-    // residents before one is admitted.
-    l1_sketch_ = std::make_unique<FlatSpaceSaving>(p.l1_capacity * 2);
-    // Lin hits validate against the home shard's current timestamp; in a
-    // ranked rack a remote home is only RPC-reachable, so Lin admission is
-    // restricted to self-homed keys.  SC needs neither: a private copy only
-    // ever lags, which per-session timestamp monotonicity allows.
-    l1_validate_ = p.consistency == ConsistencyModel::kLin;
-    l1_admit_local_only_ = ranked_ && l1_validate_;
-  }
-  if (p.consistency == ConsistencyModel::kLin) {
-    engine_ = std::make_unique<LinEngine>(id, p.num_nodes, cache_.get(), ep_);
-  } else {
-    CCKVS_CHECK(p.consistency == ConsistencyModel::kSc);
-    engine_ = std::make_unique<ScEngine>(id, p.num_nodes, cache_.get(), ep_);
-  }
-  engine_->PrewarmScratch(p.workload.value_bytes);
-
-  if (p.online_topk) {
-    HotSetManagerConfig hc;
-    hc.self = id;
-    hc.num_nodes = p.num_nodes;
-    hc.coordinator = id == 0;
-    hc.epoch.hot_set_size = p.cache_capacity;
-    hc.epoch.requests_per_epoch = p.topk_epoch_requests;
-    hc.epoch.sample_probability = p.topk_sample_probability;
-    hc.epoch.seed = p.seed ^ 0x70cull;
-    hc.epoch.adaptive = p.topk_adaptive_epochs;
-    hc.home_of = [rack](Key key) { return rack->HomeOf(key); };
-    hot_mgr_ = std::make_unique<HotSetManager>(hc, cache_.get(), engine_.get(),
-                                               static_cast<HotSetHost*>(this));
-  }
-
   sessions_.resize(static_cast<std::size_t>(p.window_per_node));
   for (std::size_t s = 0; s < sessions_.size(); ++s) {
     // Sessions are pinned to their node, as in the simulator.
@@ -111,17 +75,17 @@ LiveNode::LiveNode(LiveRack* rack, NodeId id, WorkloadGenerator gen)
   parked_gated_.Reset(sessions_.size());
 }
 
-void LiveNode::PrefillHotSet(const std::vector<Key>& hot_keys) {
-  cache_->InstallHotSet(hot_keys);
-  for (const Key key : hot_keys) {
-    cache_->Fill(key, SynthesizeValue(key, rack_->params().workload.value_bytes),
-                 Timestamp{0, 0});
-  }
-  if (hot_mgr_ != nullptr && hot_mgr_->coordinator()) {
-    // Keys the first epoch drops from the oracle set must settle like any
-    // published eviction before they are eligible for re-admission.
-    hot_mgr_->SeedPublished(hot_keys);
-  }
+NodeCoreConfig LiveNode::CoreConfig() {
+  NodeCoreConfig c = NodeCoreConfig::From(rack_->params(), id_);
+  LiveRack* rack = rack_;
+  c.home_of = [rack](Key key) { return rack->HomeOf(key); };
+  c.shard_of = [this](Key) -> Partition& { return *partition_; };
+  // In a ranked rack a remote home shard lives in another address space,
+  // reachable only over RPC.
+  c.peek_home = [rack](Key key) -> const Partition* {
+    return rack->IsLocal(rack->HomeOf(key)) ? &rack->PartitionOf(key) : nullptr;
+  };
+  return c;
 }
 
 SimTime LiveNode::NowTs() {
@@ -161,7 +125,7 @@ void LiveNode::Run(StopToken stop) {
               ((static_cast<std::uint64_t>(parked_sc_writes_.size()) & 0xffff) << 16) |
               ((static_cast<std::uint64_t>(rpc_outstanding_) & 0xffff) << 32) |
               ((static_cast<std::uint64_t>(idle_sessions_) & 0xffff) << 48);
-          tracer_->Instant(SpanKind::kStateDump, 0, 0, counters_.completed, a1);
+          tracer_->Instant(SpanKind::kStateDump, 0, 0, core_.counts().completed, a1);
         }
         if (debug_state) {
           std::fprintf(stderr,
@@ -172,8 +136,8 @@ void LiveNode::Run(StopToken stop) {
                        parked_sc_writes_.size(), parked_gated_.size(),
                        rpc_outstanding_,
                        ranked_ ? LocallyQuiescent() : done_, !ep_->NothingPending(),
-                       engine_->Quiescent(),
-                       static_cast<unsigned long long>(counters_.completed),
+                       core_.engine()->Quiescent(),
+                       static_cast<unsigned long long>(core_.counts().completed),
                        static_cast<unsigned long long>(ep_->data_sent()),
                        static_cast<unsigned long long>(ep_->data_processed()),
                        term_round_, round_open_, round_status_.size());
@@ -193,7 +157,7 @@ void LiveNode::Run(StopToken stop) {
 
     bool issued = false;
     if (!halted_) {
-      if (stop.StopRequested() || counters_.completed >= quota_) {
+      if (stop.StopRequested() || core_.counts().completed >= quota_) {
         halted_ = true;
       } else {
         issued = FillIdleSessions();
@@ -215,8 +179,7 @@ void LiveNode::Run(StopToken stop) {
         return;
       }
     } else {
-      if (!done_ && halted_ && AllSessionsIdle() && parked_sc_writes_.empty() &&
-          ep_->NothingPending() && engine_->Quiescent()) {
+      if (!done_ && LocallyQuiescent()) {
         // Locally quiescent: no client work, no parked protocol work.  This is
         // monotonic — with no local ops, incoming messages can only be updates
         // (no sends) or invalidations (ack rides implicit credits).
@@ -262,7 +225,7 @@ void LiveNode::PollAllocWindow() {
   if (!alloc_window_open_) {
     // Warmup: the first quarter of the quota grows every buffer, pool and
     // freelist to its steady-state capacity; only what comes after counts.
-    if (!halted_ && counters_.completed >= quota_ / 4) {
+    if (!halted_ && core_.counts().completed >= quota_ / 4) {
       alloc_window_open_ = true;
       alloc::ResetThread();
       alloc::EnableThread();
@@ -286,20 +249,21 @@ void LiveNode::PublishCounters() {
   }
   WorkerCounters& w = *pub_;
   const auto relaxed = std::memory_order_relaxed;
-  w.ops.store(counters_.completed, relaxed);
-  w.hits.store(counters_.hit_completed, relaxed);
-  w.misses.store(counters_.miss_completed, relaxed);
-  w.rpcs.store(counters_.rpcs_sent, relaxed);
+  const NodeCore::Counts& counts = core_.counts();
+  w.ops.store(counts.completed, relaxed);
+  w.hits.store(counts.hit_completed, relaxed);
+  w.misses.store(counts.miss_completed, relaxed);
+  w.rpcs.store(rpcs_sent_, relaxed);
   w.msgs_sent.store(ep_->coalescer().messages_sent(), relaxed);
   w.batches_sent.store(ep_->coalescer().batches_sent(), relaxed);
   w.flush_size.store(ep_->coalescer().flushes(FlushCause::kSize), relaxed);
   w.flush_boundary.store(ep_->coalescer().flushes(FlushCause::kBoundary), relaxed);
   w.flush_idle.store(ep_->coalescer().flushes(FlushCause::kIdle), relaxed);
   w.flush_deadline.store(ep_->coalescer().flushes(FlushCause::kDeadline), relaxed);
-  if (l1_ != nullptr) {
-    w.l1_hits.store(counters_.l1_hits, relaxed);
-    w.l1_invalidations.store(l1_->stats().invalidations, relaxed);
-    w.l1_fills.store(l1_->stats().fills, relaxed);
+  if (const L1TailCache* l1 = core_.l1(); l1 != nullptr) {
+    w.l1_hits.store(counts.l1_hits, relaxed);
+    w.l1_invalidations.store(l1->stats().invalidations, relaxed);
+    w.l1_fills.store(l1->stats().fills, relaxed);
   }
   w.allocs.store(track_allocs_ ? alloc::ThreadCount() : 0, relaxed);
   w.inbound_depth.store(rack_->transport().fabric().InboundDepth(id_), relaxed);
@@ -308,51 +272,23 @@ void LiveNode::PublishCounters() {
 std::size_t LiveNode::PollInbound(std::size_t max) {
   return ep_->Poll(max, [this](NodeId src, const WireBody& body) {
     if (const auto* upd = std::get_if<UpdateMsg>(&body)) {
-      if (l1_ != nullptr) {
-        // Write-through-invalidate: a consistency update proves the key was
-        // written somewhere; the private copy must not outlive it.
-        l1_->Invalidate(upd->key);
-      }
-      if (cache_->Find(upd->key) != nullptr) {
-        engine_->OnUpdate(src, *upd);
-      } else if (rack_->HomeOf(upd->key) == id_) {
-        // Key not cached here (possible once hot sets churn): complete the
-        // write-back directly into the home shard, as the simulator does.
-        partition_->Apply(upd->key, upd->value, upd->ts);
-      } else if (hot_mgr_ != nullptr) {
-        // Uncached and homed elsewhere: our membership lags an announce in
-        // flight.  Remember the update so a stashed fill cannot resurrect an
-        // older value (hot_set_manager.h, fill-vs-announce race).
-        hot_mgr_->NoteUncachedUpdate(upd->key, upd->value, upd->ts);
-      }
+      core_.OnUpdate(src, *upd);
     } else if (const auto* inv = std::get_if<InvalidateMsg>(&body)) {
-      if (l1_ != nullptr) {
-        l1_->Invalidate(inv->key);
-      }
-      if (hot_mgr_ != nullptr && cache_->Find(inv->key) == nullptr) {
-        hot_mgr_->NoteUncachedInvalidate(inv->key, inv->ts);
-      }
-      engine_->OnInvalidate(src, *inv);  // acks unconditionally
+      core_.OnInvalidate(src, *inv);
     } else if (const auto* ack = std::get_if<AckMsg>(&body)) {
-      engine_->OnAck(src, *ack);
+      core_.OnAck(src, *ack);
     } else if (const auto* hot = std::get_if<HotSetAnnounceMsg>(&body)) {
-      if (hot_mgr_ != nullptr) {
+      if (core_.hot_set_manager() != nullptr) {
         DriveAnnounceTraced(*hot);
       }
     } else if (const auto* fill = std::get_if<FillMsg>(&body)) {
-      if (l1_ != nullptr) {
-        // The key is entering the symmetric tier: tier exclusivity.
-        l1_->Invalidate(fill->key);
-      }
-      if (hot_mgr_ != nullptr) {
-        hot_mgr_->ApplyFill(*fill);
-        if (tracer_ != nullptr) {
-          tracer_->Instant(SpanKind::kFillApplied, 0, 0, fill->key, fill->epoch);
-        }
+      core_.ApplyFill(*fill);
+      if (tracer_ != nullptr) {
+        tracer_->Instant(SpanKind::kFillApplied, 0, 0, fill->key, fill->epoch);
       }
     } else if (const auto* installed = std::get_if<EpochInstalledMsg>(&body)) {
-      if (hot_mgr_ != nullptr) {
-        hot_mgr_->DrivePeerInstalled(src, installed->epoch);
+      if (HotSetManager* hot_mgr = core_.hot_set_manager(); hot_mgr != nullptr) {
+        hot_mgr->DrivePeerInstalled(src, installed->epoch);
         if (tracer_ != nullptr) {
           tracer_->Instant(SpanKind::kPeerInstalled, 0, 0, installed->epoch, src);
           MaybeCloseBarrier();
@@ -386,23 +322,6 @@ std::size_t LiveNode::PollInbound(std::size_t max) {
 
 // --- HotSetHost hooks: the live half of the shared transition machine ---
 
-void LiveNode::ApplyWriteback(const SymmetricCache::Eviction& ev) {
-  if (l1_ != nullptr) {
-    // The write-back may carry a value newer than a private copy taken while
-    // the key was still shard-resident.
-    l1_->Invalidate(ev.key);
-  }
-  partition_->Apply(ev.key, ev.value, ev.ts);
-}
-
-LiveNode::FillSnapshot LiveNode::GateAndSnapshot(Key key) {
-  // Raise the shard residency gate and snapshot the fill atomically: any
-  // direct shard write lands entirely before the snapshot or is refused
-  // after it, so the cache era starts from an authoritative value.
-  const Partition::ResidentSnapshot snap = partition_->MarkCacheResident(key);
-  return FillSnapshot{snap.value, snap.ts};
-}
-
 void LiveNode::PublishFills(const std::vector<FillMsg>& fills) {
   for (const FillMsg& fill : fills) {
     ep_->BroadcastFill(fill);
@@ -417,7 +336,7 @@ void LiveNode::PublishInstalled(const EpochInstalledMsg& msg) {
     if (install_start_cycles_ != 0 && msg.epoch >= install_epoch_) {
       tracer_->Emit(SpanKind::kEpochInstall, 0, tracer_->NewSpanId(), 0,
                     install_start_cycles_, CycleNow(), msg.epoch,
-                    hot_mgr_->deferred_evictions());
+                    core_.hot_set_manager()->deferred_evictions());
       install_start_cycles_ = 0;
     }
     barrier_start_cycles_ = CycleNow();
@@ -427,7 +346,7 @@ void LiveNode::PublishInstalled(const EpochInstalledMsg& msg) {
 }
 
 void LiveNode::LiftGate(Key key) {
-  partition_->ClearCacheResident(key);
+  core_.LiftGate(key);
   if (tracer_ != nullptr) {
     const auto it = gate_spans_.find(key);
     if (it != gate_spans_.end()) {
@@ -439,20 +358,12 @@ void LiveNode::LiftGate(Key key) {
 }
 
 void LiveNode::MaybeRetryDeferred() {
-  if (hot_mgr_ != nullptr && hot_mgr_->HasDeferred()) {
-    hot_mgr_->DriveDeferred();
+  if (core_.DriveDeferred()) {
     SyncGateSpans();  // deferred evictions can raise fresh gates
   }
 }
 
 void LiveNode::DriveAnnounceTraced(const HotSetAnnounceMsg& msg) {
-  if (l1_ != nullptr) {
-    // Tier exclusivity: any key the rack just promoted to the symmetric hot
-    // set leaves the private tail (the symmetric copy becomes authoritative).
-    for (const Key key : msg.keys) {
-      l1_->Invalidate(key);
-    }
-  }
   if (tracer_ != nullptr) {
     tracer_->Instant(SpanKind::kAnnounce, 0, 0, msg.epoch, msg.keys.size());
     if (install_start_cycles_ == 0 && msg.epoch > install_epoch_) {
@@ -460,29 +371,31 @@ void LiveNode::DriveAnnounceTraced(const HotSetAnnounceMsg& msg) {
       install_epoch_ = msg.epoch;
     }
   }
-  hot_mgr_->DriveAnnounce(msg);
+  core_.ApplyAnnounce(msg);
   SyncGateSpans();
 }
 
 void LiveNode::SyncGateSpans() {
-  if (tracer_ == nullptr || hot_mgr_ == nullptr) {
+  const HotSetManager* hot_mgr = core_.hot_set_manager();
+  if (tracer_ == nullptr || hot_mgr == nullptr) {
     return;
   }
   // pending_clear() holds every key homed here whose eviction awaits the
   // install barrier; a key not yet in gate_spans_ was gated just now.
   const std::uint64_t now = CycleNow();
-  for (const auto& [key, epoch] : hot_mgr_->pending_clear()) {
+  for (const auto& [key, epoch] : hot_mgr->pending_clear()) {
     gate_spans_.try_emplace(key, now, epoch);
   }
 }
 
 void LiveNode::MaybeCloseBarrier() {
-  if (tracer_ == nullptr || hot_mgr_ == nullptr || barrier_start_cycles_ == 0) {
+  const HotSetManager* hot_mgr = core_.hot_set_manager();
+  if (tracer_ == nullptr || hot_mgr == nullptr || barrier_start_cycles_ == 0) {
     return;
   }
   const int n = rack_->params().num_nodes;
   for (NodeId peer = 0; peer < static_cast<NodeId>(n); ++peer) {
-    if (hot_mgr_->peer_installed_epoch(peer) < barrier_epoch_) {
+    if (hot_mgr->peer_installed_epoch(peer) < barrier_epoch_) {
       return;
     }
   }
@@ -551,9 +464,9 @@ void LiveNode::IssueOp(std::uint32_t slot) {
   }
   sess.idle = false;
   --idle_sessions_;
-  if (hot_mgr_ != nullptr && hot_mgr_->coordinator() &&
-      hot_mgr_->Sample(sess.op.key)) {
-    const HotSetAnnounceMsg ann = hot_mgr_->announcement();
+  HotSetManager* hot_mgr = core_.hot_set_manager();
+  if (hot_mgr != nullptr && hot_mgr->coordinator() && hot_mgr->Sample(sess.op.key)) {
+    const HotSetAnnounceMsg ann = hot_mgr->announcement();
     ep_->BroadcastHotSet(ann);
     DriveAnnounceTraced(ann);
   }
@@ -562,97 +475,40 @@ void LiveNode::IssueOp(std::uint32_t slot) {
 
 void LiveNode::RouteOp(std::uint32_t slot) {
   Session& sess = sessions_[slot];
-  const Key key = sess.op.key;
-  if (l1_ != nullptr) {
-    if (sess.op.type == OpType::kPut) {
-      // Write-through-invalidate: drop the private copy up front (even if the
-      // write later parks), then take the normal shard/RPC write path.
-      l1_->Invalidate(key);
-    } else if (TryServeFromL1(slot)) {
-      return;
-    }
-  }
-  if (cache_->Probe(key)) {
-    if (sess.op.type == OpType::kGet) {
-      Timestamp ts;
-      const auto result = engine_->Read(key, &read_scratch_, &ts,
-                                        [this, slot](const Value& v, Timestamp t) {
-                                          CompleteOp(slot, v, t, Route::kCache);
-                                        });
-      if (result == CoherenceEngine::ReadResult::kHit) {
-        CompleteOp(slot, read_scratch_, ts, Route::kCache);
-      }
-      // kBlocked: the parked-reader callback completes the op.
-      return;
-    }
-    if (engine_->model() == ConsistencyModel::kSc && !ep_->AllPeersHaveCredit()) {
-      // SC writes complete as soon as the update broadcast is posted, so
-      // posting is the throttle point (§6.3): no credits, the op waits.
-      ++counters_.sc_credit_stalls;
-      if (sess.trace_id != 0 && sess.credit_park_cycles == 0) {
-        sess.credit_park_cycles = CycleNow();
-      }
-      parked_sc_writes_.push_back(slot);
-      return;
-    }
-    StartCacheWrite(slot);
-    return;
-  }
-  RouteMissOp(slot);
-}
-
-bool LiveNode::TryServeFromL1(std::uint32_t slot) {
-  Session& sess = sessions_[slot];
-  const Key key = sess.op.key;
   Timestamp ts;
-  if (!l1_->Get(key, &read_scratch_, &ts)) {
-    return false;
+  switch (core_.RouteOp(sess.op, &read_scratch_, &ts,
+                        [this, slot](const Value& v, Timestamp t) {
+                          CompleteOp(slot, v, t, Route::kCache);
+                        })) {
+    case Route::kL1:
+      if (sess.trace_id != 0) {
+        tracer_->Instant(SpanKind::kL1Hit, sess.trace_id, sess.op_span, sess.op.key, 0);
+      }
+      CompleteOp(slot, read_scratch_, ts, Route::kL1);
+      return;
+    case Route::kCache:
+      CompleteOp(slot, read_scratch_, ts, Route::kCache);
+      return;
+    case Route::kCacheBlocked:
+      return;  // the parked-reader callback completes the op
+    case Route::kCacheWrite:
+      if (core_.engine()->model() == ConsistencyModel::kSc &&
+          !ep_->AllPeersHaveCredit()) {
+        // SC writes complete as soon as the update broadcast is posted, so
+        // posting is the throttle point (§6.3): no credits, the op waits.
+        ++sc_credit_stalls_;
+        if (sess.trace_id != 0 && sess.credit_park_cycles == 0) {
+          sess.credit_park_cycles = CycleNow();
+        }
+        parked_sc_writes_.push_back(slot);
+        return;
+      }
+      StartCacheWrite(slot);
+      return;
+    case Route::kMiss:
+      RouteMissOp(slot);
+      return;
   }
-  if (l1_validate_) {
-    // Lin: a hit only counts if the home shard still holds the exact write we
-    // cached — (clock, writer) uniquely identifies a write, so a timestamp
-    // match means same value, and the peek instant is the linearization
-    // point, exactly as a real shard Get would be.  A resident flag means the
-    // symmetric tier owns the key now; either way the private copy dies and
-    // the op falls through to the ordinary paths.
-    Timestamp home_ts;
-    bool resident = false;
-    const bool ok = rack_->PartitionOf(key).PeekTimestamp(key, &home_ts, &resident);
-    CCKVS_CHECK(ok);
-    if (resident || !(home_ts == ts)) {
-      l1_->Invalidate(key);
-      return false;
-    }
-  }
-  if (sess.trace_id != 0) {
-    tracer_->Instant(SpanKind::kL1Hit, sess.trace_id, sess.op_span, key, 0);
-  }
-  CompleteOp(slot, read_scratch_, ts, Route::kL1);
-  return true;
-}
-
-void LiveNode::MaybeAdmitToL1(Key key, const Value& value, Timestamp ts) {
-  if (l1_admit_local_only_ && rack_->HomeOf(key) != id_) {
-    return;
-  }
-  std::uint64_t guaranteed = 0;
-  l1_sketch_->Offer(key, &guaranteed);
-  if (++l1_offers_ % (l1_sketch_->capacity() * 8) == 0) {
-    // Age the sketch so a key that WAS locally hot cannot squat on a counter
-    // forever once per-node popularity drifts.
-    l1_sketch_->DecayHalve();
-  }
-  if (guaranteed < 2) {
-    // Gate on PROVEN sightings (count - error), not the estimate: a saturated
-    // sketch hands every newcomer the evicted minimum as its estimate, and
-    // admitting on that would fill the L1 with one-hit tail keys — churn that
-    // evicts the genuinely hot-here entries and burns fill CPU for no reuse.
-    return;
-  }
-  if (cache_->Find(key) != nullptr) {
-    return;  // tier exclusivity: the symmetric tier already owns it
-  }
-  l1_->Fill(key, value, ts);
 }
 
 void LiveNode::RouteMissOp(std::uint32_t slot) {
@@ -672,44 +528,35 @@ void LiveNode::RouteMissOp(std::uint32_t slot) {
   }
   Partition& home = rack_->PartitionOf(key);
   const std::uint64_t shard_start = sess.trace_id != 0 ? CycleNow() : 0;
-  if (sess.op.type == OpType::kGet) {
-    Timestamp ts;
-    bool resident = false;
-    const bool ok = home.Get(key, &read_scratch_, &ts, &resident);
+  const bool is_get = sess.op.type == OpType::kGet;
+  Timestamp ts;
+  bool gated = false;
+  if (is_get) {
+    const bool ok = home.Get(key, &read_scratch_, &ts, &gated);
     CCKVS_CHECK(ok);  // the synthesizer guarantees every GET succeeds
-    if (resident) {
-      if (!retrying_gated_) {
-        ++counters_.gate_retries;
-      }
-      if (sess.trace_id != 0 && sess.park_cycles == 0) {
-        sess.park_cycles = shard_start;
-      }
-      parked_gated_.push_back(slot);
-      return;
-    }
-    if (shard_start != 0) {
-      tracer_->Emit(SpanKind::kShardRead, sess.trace_id, tracer_->NewSpanId(),
-                    sess.op_span, shard_start, CycleNow(), key, 0);
-    }
-    CompleteOp(slot, read_scratch_, ts, Route::kMiss);
   } else {
-    Timestamp ts;
-    if (!home.TryPut(key, sess.op.value, &ts)) {
-      if (!retrying_gated_) {
-        ++counters_.gate_retries;
-      }
-      if (sess.trace_id != 0 && sess.park_cycles == 0) {
-        sess.park_cycles = shard_start;
-      }
-      parked_gated_.push_back(slot);
-      return;
-    }
-    if (shard_start != 0) {
-      tracer_->Emit(SpanKind::kShardWrite, sess.trace_id, tracer_->NewSpanId(),
-                    sess.op_span, shard_start, CycleNow(), key, 0);
-    }
-    CompleteOp(slot, sess.op.value, ts, Route::kMiss);
+    gated = !home.TryPut(key, sess.op.value, &ts);
   }
+  if (gated) {
+    ParkGated(slot, shard_start);
+    return;
+  }
+  if (shard_start != 0) {
+    tracer_->Emit(is_get ? SpanKind::kShardRead : SpanKind::kShardWrite, sess.trace_id,
+                  tracer_->NewSpanId(), sess.op_span, shard_start, CycleNow(), key, 0);
+  }
+  CompleteOp(slot, is_get ? read_scratch_ : sess.op.value, ts, Route::kMiss);
+}
+
+void LiveNode::ParkGated(std::uint32_t slot, std::uint64_t stamp) {
+  if (!retrying_gated_) {
+    ++gate_retries_;
+  }
+  Session& sess = sessions_[slot];
+  if (sess.trace_id != 0 && sess.park_cycles == 0) {
+    sess.park_cycles = stamp;
+  }
+  parked_gated_.push_back(slot);
 }
 
 void LiveNode::StartCacheWrite(std::uint32_t slot) {
@@ -721,25 +568,15 @@ void LiveNode::StartCacheWrite(std::uint32_t slot) {
                   sess.op.key, 0);
     sess.credit_park_cycles = 0;
   }
-  const Key key = sess.op.key;
-  if (cache_->Find(key) == nullptr) {
+  // [this, slot] fits std::function's small-buffer optimization; capturing
+  // anything more would push the closure past it and heap-allocate per write.
+  if (!core_.StartCacheWrite(sess.op.key, sess.op.value, [this, slot](Timestamp ts) {
+        CompleteOp(slot, sessions_[slot].op.value, ts, Route::kCache);
+      })) {
     // The key churned out of the hot set while this write sat parked on
     // credits; take the miss path instead.
     RouteMissOp(slot);
-    return;
   }
-  // [this, slot] fits std::function's small-buffer optimization; capturing
-  // `key` too would push the closure past it and heap-allocate per write.
-  engine_->Write(key, sessions_[slot].op.value, [this, slot] {
-    // For Lin, pending_ts still holds the completed write's timestamp; for SC
-    // the entry timestamp is the write's own (done fires synchronously).
-    CacheEntry* e = cache_->Find(sessions_[slot].op.key);
-    const Timestamp ts =
-        (engine_->model() == ConsistencyModel::kLin && e != nullptr) ? e->pending_ts
-        : e != nullptr                                               ? e->ts()
-                                                                     : Timestamp{};
-    CompleteOp(slot, sessions_[slot].op.value, ts, Route::kCache);
-  });
 }
 
 void LiveNode::RetryParkedScWrites() {
@@ -772,7 +609,7 @@ void LiveNode::SendRpc(std::uint32_t slot) {
   ep_->SendDirect(rack_->HomeOf(sess.op.key), WireBody{std::move(req)});
   rpc_waiting_[slot] = 1;
   ++rpc_outstanding_;
-  ++counters_.rpcs_sent;
+  ++rpcs_sent_;
 }
 
 void LiveNode::ServeRpc(NodeId src, const RpcRequest& req) {
@@ -805,11 +642,9 @@ void LiveNode::ServeRpc(NodeId src, const RpcRequest& req) {
     if (!partition_->TryPut(req.key, req.value, &ts)) {
       resp.gated = true;
     } else {
-      if (l1_ != nullptr) {
-        // A peer just wrote our shard; the home is the one place that
-        // observes it, so invalidate any private copy here.
-        l1_->Invalidate(req.key);
-      }
+      // A peer just wrote our shard; the home is the one place that observes
+      // it, so invalidate any private copy here.
+      core_.OnServedWrite(req.key);
       resp.ts = ts;
     }
   }
@@ -845,11 +680,7 @@ void LiveNode::OnRpcResponse(const RpcResponse& resp) {
     // and fill land the op completes as a hit; until then it re-RPCs, paced
     // by the run loop's idle sleep.  Same retry loop the single-process miss
     // path uses, stretched across the wire.
-    ++counters_.gate_retries;
-    if (sess.trace_id != 0 && sess.park_cycles == 0) {
-      sess.park_cycles = CycleNow();
-    }
-    parked_gated_.push_back(slot);
+    ParkGated(slot, sess.trace_id != 0 ? CycleNow() : 0);
     return;
   }
   CompleteOp(slot,
@@ -862,7 +693,7 @@ bool LiveNode::LocallyQuiescent() const {
   // covers rpc_outstanding_ too; gated ops bounced back by a home owe a
   // re-route and count as local work.
   return halted_ && AllSessionsIdle() && parked_sc_writes_.empty() &&
-         parked_gated_.empty() && ep_->NothingPending() && engine_->Quiescent();
+         parked_gated_.empty() && ep_->NothingPending() && core_.engine()->Quiescent();
 }
 
 bool LiveNode::RankedTermination() {
@@ -934,16 +765,6 @@ void LiveNode::CompleteOp(std::uint32_t slot, const Value& read_value, Timestamp
                           Route route) {
   Session& sess = sessions_[slot];
   CCKVS_CHECK(!sess.idle);
-  ++counters_.completed;
-  if (route == Route::kMiss) {
-    ++counters_.miss_completed;
-  } else {
-    // Hierarchy hit rate: L1 and symmetric hits both avoided the shard/RPC.
-    ++counters_.hit_completed;
-    if (route == Route::kL1) {
-      ++counters_.l1_hits;
-    }
-  }
   // Per-op latency from raw cycle stamps (rdtsc where available): immune to
   // the history clock's tie-breaking bumps and cheap enough to keep on in
   // busy-poll runs — the Fig 13c-comparable numbers come from this histogram.
@@ -979,21 +800,9 @@ void LiveNode::CompleteOp(std::uint32_t slot, const Value& read_value, Timestamp
     h.complete = NowTs();
     history_.push_back(std::move(h));
   }
-
-  if (l1_ != nullptr && sess.op.type == OpType::kPut) {
-    // Invalidate AGAIN at completion, not just at routing: a concurrent
-    // session's in-flight GET may have read the shard before this write and
-    // refilled the L1 after the routing-time invalidation.  The fabric is
-    // FIFO per peer pair, so any such stale response was delivered — and its
-    // fill applied — before this write's own response; dropping the key here
-    // therefore kills every fill the write could have raced.
-    l1_->Invalidate(sess.op.key);
-  }
-  if (l1_ != nullptr && route == Route::kMiss && sess.op.type == OpType::kGet) {
-    // The miss path just produced an authoritative (value, ts) — the only
-    // kind of read the L1 admits.
-    MaybeAdmitToL1(sess.op.key, read_value, ts);
-  }
+  // Counts and L1 upkeep (admission may copy a value) run outside the
+  // measured latency, as the history stamp above.
+  core_.CompleteOp(sess.op, route, read_value, ts);
 
   sess.idle = true;
   ++idle_sessions_;

@@ -1,4 +1,5 @@
-// One live rack node: a real thread owning its shard, cache and engine.
+// One live rack node: a real thread owning its shard and its NodeCore (the
+// cache, engine and L1 tier the simulator's nodes run too; cckvs/node_core.h).
 //
 // The node thread is the engine's single-threaded host (the contract in
 // src/protocol/engine.h): every engine call — client ops and message
@@ -24,8 +25,7 @@
 #include <utility>
 #include <vector>
 
-#include "src/cache/l1_tail.h"
-#include "src/cache/symmetric_cache.h"
+#include "src/cckvs/node_core.h"
 #include "src/cckvs/rpc_messages.h"
 #include "src/common/histogram.h"
 #include "src/protocol/engine.h"
@@ -35,8 +35,6 @@
 #include "src/runtime/tracing.h"
 #include "src/runtime/transport.h"
 #include "src/store/partition.h"
-#include "src/topk/flat_space_saving.h"
-#include "src/topk/hot_set_manager.h"
 #include "src/verify/history.h"
 #include "src/workload/workload.h"
 
@@ -51,7 +49,7 @@ class LiveNode final : private HotSetHost {
   LiveNode& operator=(const LiveNode&) = delete;
 
   // Installs + fills the symmetric hot set (before threads start).
-  void PrefillHotSet(const std::vector<Key>& hot_keys);
+  void PrefillHotSet(const std::vector<Key>& hot_keys) { core_.PrefillHotSet(hot_keys); }
 
   // Thread body.  Issues ops until the quota (or a stop request), then drains:
   // keeps pumping messages until every node is quiescent and the fabric is
@@ -63,32 +61,30 @@ class LiveNode final : private HotSetHost {
   const Partition& partition() const { return *partition_; }
 
   // --- post-join introspection (owning thread has exited) ---
-  struct Counters {
-    std::uint64_t completed = 0;
-    std::uint64_t hit_completed = 0;
-    std::uint64_t miss_completed = 0;
-    std::uint64_t l1_hits = 0;       // ops served from the private L1 tail
+  // Completion counts (completed/hit/miss/L1 hits) come from the node core;
+  // the rest are the live host's own.
+  struct Counters : NodeCore::Counts {
     std::uint64_t sc_credit_stalls = 0;
     std::uint64_t gate_retries = 0;  // shard ops parked on the residency gate
     std::uint64_t rpcs_sent = 0;     // ranked mode: remote-home misses over RPC
   };
-  const Counters& counters() const { return counters_; }
+  Counters counters() const {
+    return Counters{core_.counts(), sc_credit_stalls_, gate_retries_, rpcs_sent_};
+  }
   // Operator-new count inside the steady-state measurement window (0 when
   // params.track_allocs is off or the tracker is compiled out; see
   // common/alloc_tracker.h).
   std::uint64_t hot_path_allocs() const { return hot_path_allocs_; }
   const Histogram& latency() const { return latency_; }
   const std::vector<HistoryOp>& history_ops() const { return history_; }
-  const SymmetricCache& cache() const { return *cache_; }
+  const SymmetricCache& cache() const { return *core_.cache(); }
   // Private L1 tail, or nullptr when params.l1_capacity == 0.
-  const L1TailCache* l1() const { return l1_.get(); }
-  const CoherenceEngine& engine() const { return *engine_; }
-  const HotSetManager* hot_set_manager() const { return hot_mgr_.get(); }
+  const L1TailCache* l1() const { return core_.l1(); }
+  const CoherenceEngine& engine() const { return *core_.engine(); }
+  const HotSetManager* hot_set_manager() const { return core_.hot_set_manager(); }
 
  private:
-  // How an op completed: the shard/RPC miss path, the shared symmetric cache,
-  // or the node-private L1 tail.  kCache and kL1 both count as hierarchy hits.
-  enum class Route : std::uint8_t { kMiss, kCache, kL1 };
+  using Route = NodeCore::Route;
 
   struct Session {
     Op op;
@@ -143,16 +139,14 @@ class LiveNode final : private HotSetHost {
   bool RankedTermination();
   bool FillIdleSessions();
   void IssueOp(std::uint32_t slot);
-  // Routes the slot's already-generated op: cache path on a probe hit, else
-  // the direct-shard miss path (parking on the residency gate if it is up).
+  // Routes the slot's already-generated op through the node core's hit path
+  // (L1, then the symmetric cache), else the direct-shard miss path (parking
+  // on the residency gate if it is up).
   void RouteOp(std::uint32_t slot);
   void RouteMissOp(std::uint32_t slot);
-  // GET fast path: serve from the private L1 tail if resident (Lin validates
-  // the copy against the home shard first).  True when the op completed.
-  bool TryServeFromL1(std::uint32_t slot);
-  // Admission on authoritative miss reads: offer to the per-node sketch and
-  // fill the L1 once the key proves locally hot (and is not globally hot).
-  void MaybeAdmitToL1(Key key, const Value& value, Timestamp ts);
+  // Parks the op on the shard residency gate until RetryGatedOps re-routes
+  // it; `stamp` opens its gated_wait span (sampled ops only).
+  void ParkGated(std::uint32_t slot, std::uint64_t stamp);
   void StartCacheWrite(std::uint32_t slot);
   void RetryParkedScWrites();
   bool RetryGatedOps();
@@ -166,13 +160,18 @@ class LiveNode final : private HotSetHost {
   void PublishCounters();
   // Opens/closes the steady-state allocation window (track_allocs_ runs).
   void PollAllocWindow();
+  // The node core's view of this node: its shard, and which home shards it
+  // can peek (all of them in one process, only its own when ranked).
+  NodeCoreConfig CoreConfig();
 
   // --- hot-set subsystem (online_topk runs) ---
   // HotSetHost: the live half of the shared transition machine in topk/.
   // The manager drives write-backs, gate+fill snapshots, publication and gate
   // lifts through these; parked shard ops are retried by the run loop.
-  void ApplyWriteback(const SymmetricCache::Eviction& ev) override;
-  FillSnapshot GateAndSnapshot(Key key) override;
+  void ApplyWriteback(const SymmetricCache::Eviction& ev) override {
+    core_.ApplyWriteback(ev);
+  }
+  FillSnapshot GateAndSnapshot(Key key) override { return core_.GateAndSnapshot(key); }
   void PublishFills(const std::vector<FillMsg>& fills) override;
   void PublishInstalled(const EpochInstalledMsg& msg) override;
   void LiftGate(Key key) override;
@@ -195,15 +194,7 @@ class LiveNode final : private HotSetHost {
   Tracer* tracer_ = nullptr;       // rack-owned; null when tracing is off
 
   std::unique_ptr<Partition> partition_;
-  std::unique_ptr<SymmetricCache> cache_;
-  std::unique_ptr<CoherenceEngine> engine_;
-  std::unique_ptr<HotSetManager> hot_mgr_;  // online_topk runs only
-  // --- node-private L1 tail (params.l1_capacity > 0) ---
-  std::unique_ptr<L1TailCache> l1_;
-  std::unique_ptr<FlatSpaceSaving> l1_sketch_;  // local-popularity admission
-  std::uint64_t l1_offers_ = 0;                 // drives the sketch decay cadence
-  bool l1_validate_ = false;          // Lin: check each hit against the home shard
-  bool l1_admit_local_only_ = false;  // ranked Lin: no shard to validate against
+  NodeCore core_;
   WorkloadGenerator gen_;
 
   std::vector<Session> sessions_;
@@ -256,7 +247,9 @@ class LiveNode final : private HotSetHost {
   std::unordered_map<Key, std::pair<std::uint64_t, std::uint64_t>>
       gate_spans_;  // gated key -> {raise stamp, epoch}
 
-  Counters counters_;
+  std::uint64_t sc_credit_stalls_ = 0;
+  std::uint64_t gate_retries_ = 0;
+  std::uint64_t rpcs_sent_ = 0;
   Histogram latency_;
   std::vector<HistoryOp> history_;
   SimTime last_ts_ = 0;

@@ -131,20 +131,13 @@ LiveRack::LiveRack(const LiveRackParams& params)
 
   if (params_.prefill_hot_set) {
     // Symmetric prefill: every node caches the ground-truth (phase-0) hot
-    // set, so runs start in the steady state the paper measures.  Every rank
-    // runs this same code, so collectively all shards get their gates raised
-    // even though each process only touches its local shard.
+    // set, so runs start in the steady state the paper measures.  Under
+    // online_topk each node also raises the residency gate of the prefilled
+    // keys it homes (NodeCore::PrefillHotSet); every rank runs this same
+    // code, so collectively all shards get their gates raised even though
+    // each process only touches its local shard.
     WorkloadGenerator probe(params_.workload, /*writer_tag=*/0, /*seed=*/0);
     const std::vector<Key> hot = probe.HottestKeys(params_.cache_capacity);
-    if (params_.online_topk) {
-      // Epochs will manage membership from here on: raise each key's shard
-      // residency gate now, exactly as an epoch admission would have.
-      for (const Key key : hot) {
-        if (IsLocal(HomeOf(key))) {
-          PartitionOf(key).MarkCacheResident(key);
-        }
-      }
-    }
     for (auto& node : nodes_) {
       if (node != nullptr) {
         node->PrefillHotSet(hot);

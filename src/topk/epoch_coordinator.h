@@ -19,7 +19,7 @@
 
 #include "src/common/rng.h"
 #include "src/common/types.h"
-#include "src/topk/space_saving.h"
+#include "src/topk/flat_space_saving.h"
 
 namespace cckvs {
 
@@ -72,7 +72,7 @@ class EpochCoordinator {
   void AdaptEpochLength();
 
   EpochCoordinatorConfig config_;
-  SpaceSaving summary_;
+  FlatSpaceSaving summary_;
   Rng rng_;
   std::uint64_t seen_in_epoch_ = 0;
   std::uint64_t epoch_ = 0;

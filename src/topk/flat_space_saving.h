@@ -1,14 +1,18 @@
-// Allocation-free Space-Saving sketch for per-node L1 admission.
+// Allocation-free Space-Saving top-k sketch (Metwally et al. [35]; §4,
+// substrate S7).
 //
-// The rack-wide hot-set learner (topk/space_saving.h) runs at epoch cadence
-// off a sampled stream, so its std::unordered_map index is fine there.  The
-// L1 tail's admission sketch is different: it is offered a key on EVERY miss
-// completion inside the steady-state window, where the alloc_assert audit
-// forbids heap allocation.  This variant keeps the identical Space-Saving
-// replacement rule (evict the minimum counter; the newcomer inherits its
-// count as error) but stores everything flat and preallocated: an array
-// min-heap of counters plus an open-addressing key->heap-position index with
-// backward-shift deletion.  After construction no operation allocates.
+// One sketch serves both popularity learners: the rack-wide hot-set
+// coordinator (topk/epoch_coordinator.h), fed a sampled request stream at
+// epoch cadence, and each node's L1 admission gate (cckvs/node_core.h),
+// offered a key on EVERY miss completion inside the steady-state window,
+// where the alloc_assert audit forbids heap allocation.  It tracks
+// approximately the `capacity` most frequent keys of a stream in O(capacity)
+// memory: every key with true count > N/capacity is present, and a reported
+// count overestimates by at most the minimum counter.  The replacement rule
+// evicts the minimum counter and the newcomer inherits its count as error.
+// Everything is stored flat and preallocated: an array min-heap of counters
+// plus an open-addressing key->heap-position index with backward-shift
+// deletion.  After construction no operation allocates.
 //
 // DecayHalve() ages the sketch for drifting per-node popularity: halving
 // every count is monotone, so the heap order is preserved and aging is O(m).

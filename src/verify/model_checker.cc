@@ -238,10 +238,7 @@ class World {
     const std::string value =
         Format("w", static_cast<int>(node), ":", idx);
     CacheEntry* entry = caches_[node]->Find(kKey);
-    engines_[node]->Write(kKey, value, [this, node]() {
-      // I3 bookkeeping: pending_ts still holds the completed write's timestamp
-      // when the done callback runs (see LinEngine::CompleteWrite).
-      const Timestamp ts = caches_[node]->Find(kKey)->pending_ts;
+    engines_[node]->Write(kKey, value, [this](Timestamp ts) {
       max_completed_ = std::max(max_completed_, ts);
       ++completed_writes_;
     });
@@ -754,7 +751,8 @@ class TransitionWorld {
     const auto n = static_cast<std::size_t>(op.node);
     if (caches_[n]->Find(op.key) != nullptr) {
       if (op.is_put) {
-        engines_[n]->Write(op.key, op.value, [this, idx] { CompletePut(idx); });
+        engines_[n]->Write(op.key, op.value,
+                           [this, idx](Timestamp ts) { CompletePut(idx, ts); });
         SweepStartedPuts();  // capture the started write's timestamp
       } else {
         Value v;
@@ -780,7 +778,7 @@ class TransitionWorld {
       }
       AssignPutTs(idx, ts);
       if (failure_.empty()) {
-        CompletePut(idx);
+        CompletePut(idx, ts);
       }
     } else {
       Value v;
@@ -809,18 +807,11 @@ class TransitionWorld {
     }
   }
 
-  void CompletePut(int idx) {
+  // `ts` is the write's timestamp (the engine's done callback supplies it).
+  void CompletePut(int idx, Timestamp ts) {
     OpRec& op = ops_[static_cast<std::size_t>(idx)];
     if (!op.ts_known) {
-      const CacheEntry* e = caches_[static_cast<std::size_t>(op.node)]->Find(op.key);
-      if (e == nullptr) {
-        failure_ = Format("op ", idx, " completed without a cache entry");
-        return;
-      }
-      // SC completes synchronously with the apply (value_ts is the write's);
-      // Lin leaves pending_ts set through the done callback.
-      AssignPutTs(idx, config_.model == ConsistencyModel::kLin ? e->pending_ts
-                                                               : e->value_ts);
+      AssignPutTs(idx, ts);
       if (!failure_.empty()) {
         return;
       }

@@ -8,7 +8,7 @@
 #include "src/common/rng.h"
 #include "src/common/zipf.h"
 #include "src/topk/epoch_coordinator.h"
-#include "src/topk/space_saving.h"
+#include "src/topk/flat_space_saving.h"
 
 namespace cckvs {
 namespace {
@@ -128,11 +128,11 @@ TEST(SymmetricCacheDeathTest, OverCapacityInstallAborts) {
 }
 
 // ---------------------------------------------------------------------------
-// SpaceSaving
+// SpaceSaving (the flat sketch both popularity learners use)
 // ---------------------------------------------------------------------------
 
 TEST(SpaceSaving, ExactWhenUnderCapacity) {
-  SpaceSaving ss(10);
+  FlatSpaceSaving ss(10);
   for (int i = 0; i < 5; ++i) {
     ss.Offer(1);
   }
@@ -146,9 +146,13 @@ TEST(SpaceSaving, ExactWhenUnderCapacity) {
 }
 
 TEST(SpaceSaving, EvictsMinimumCounter) {
-  SpaceSaving ss(2);
-  ss.Offer(1, 10);
-  ss.Offer(2, 5);
+  FlatSpaceSaving ss(2);
+  for (int i = 0; i < 10; ++i) {
+    ss.Offer(1);
+  }
+  for (int i = 0; i < 5; ++i) {
+    ss.Offer(2);
+  }
   ss.Offer(3);  // evicts key 2 (min), inherits count 5
   const auto top = ss.TopK(2);
   ASSERT_EQ(top.size(), 2u);
@@ -160,7 +164,7 @@ TEST(SpaceSaving, EvictsMinimumCounter) {
 
 TEST(SpaceSaving, CountsNeverUnderestimate) {
   // Space-Saving guarantee: estimate >= true count.
-  SpaceSaving ss(20);
+  FlatSpaceSaving ss(20);
   Rng rng(5);
   std::vector<int> truth(200, 0);
   ZipfSampler sampler(200, 1.0);
@@ -179,7 +183,7 @@ TEST(SpaceSaving, RecallsTrueTopKOnZipf) {
   // of the ranks we want recalled: rank 8 of Zipf(0.99) gets ~1% of a 300k
   // stream (~2.9k), so capacity 256 (floor ~1.2k) suffices.
   const std::size_t k = 16;
-  SpaceSaving ss(256);
+  FlatSpaceSaving ss(256);
   Rng rng(11);
   ZipfSampler sampler(100000, 0.99);
   for (int i = 0; i < 300000; ++i) {
@@ -198,15 +202,6 @@ TEST(SpaceSaving, RecallsTrueTopKOnZipf) {
     }
   }
   EXPECT_GE(found, 7);
-}
-
-TEST(SpaceSaving, StreamLengthTracksOffers) {
-  SpaceSaving ss(4);
-  for (int i = 0; i < 7; ++i) {
-    ss.Offer(static_cast<Key>(i));
-  }
-  EXPECT_EQ(ss.stream_length(), 7u);
-  EXPECT_EQ(ss.size(), 4u);  // capacity-bounded
 }
 
 // ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 // Unit tests for the node-private L1 tail tier: the pluggable replacement
 // policies, the L1TailCache itself, the flat Space-Saving admission sketch,
-// and the Partition::PeekTimestamp hook the Lin validation path relies on.
+// the Partition::PeekTimestamp hook the Lin validation path relies on, and
+// the admission/invalidation rules NodeCore applies for both racks.
 
 #include <gtest/gtest.h>
 
@@ -10,6 +11,7 @@
 
 #include "src/cache/l1_tail.h"
 #include "src/cache/replacement.h"
+#include "src/cckvs/node_core.h"
 #include "src/store/partition.h"
 #include "src/topk/flat_space_saving.h"
 #include "src/workload/workload.h"
@@ -287,6 +289,123 @@ TEST(PartitionPeek, MatchesPutAndTracksResidency) {
   part.ClearCacheResident(42);
   ASSERT_TRUE(part.PeekTimestamp(42, &ts, &resident));
   EXPECT_FALSE(resident);
+}
+
+// ---------------------------------------------------------------------------
+// NodeCore: the L1 rules both racks share (cckvs/node_core.h)
+// ---------------------------------------------------------------------------
+
+// Consistency traffic goes nowhere: these cases exercise one node's L1 rules.
+class NullSink final : public MessageSink {
+ public:
+  void BroadcastUpdate(const UpdateMsg&) override {}
+  void BroadcastInvalidate(const InvalidateMsg&) override {}
+  void SendAck(NodeId, const AckMsg&) override {}
+};
+
+// Node 0 of a two-node rack with a one-slot L1 (so a two-counter sketch).
+// Even keys are homed here and peekable; odd keys live on a shard this node
+// can only reach over RPC.
+struct CoreHarness {
+  explicit CoreHarness(ConsistencyModel model)
+      : shard(ShardConfig()), core(Config(model), &sink, nullptr) {}
+
+  static PartitionConfig ShardConfig() {
+    PartitionConfig pc;
+    pc.buckets = 64;
+    pc.synthesize = [](Key key) { return SynthesizeValue(key, 8); };
+    return pc;
+  }
+  NodeCoreConfig Config(ConsistencyModel model) {
+    NodeCoreConfig c;
+    c.num_nodes = 2;
+    c.consistency = model;
+    c.cache_capacity = 4;
+    c.value_bytes = 8;
+    c.l1_capacity = 1;
+    c.home_of = [](Key key) { return static_cast<NodeId>(key % 2); };
+    c.shard_of = [this](Key) -> Partition& { return shard; };
+    c.peek_home = [this](Key key) -> const Partition* {
+      return key % 2 == 0 ? &shard : nullptr;
+    };
+    return c;
+  }
+
+  // A GET of `key` completing on the miss path with an authoritative read.
+  void MissRead(Key key) {
+    Value value = SynthesizeValue(key, 8);
+    Timestamp ts{};
+    if (key % 2 == 0) {
+      ASSERT_TRUE(shard.Get(key, &value, &ts));
+    }
+    core.CompleteOp(Op{OpType::kGet, key, {}}, NodeCore::Route::kMiss, value, ts);
+  }
+  NodeCore::Route Route(const Op& op) {
+    Value value;
+    Timestamp ts;
+    return core.RouteOp(op, &value, &ts, nullptr);
+  }
+
+  NullSink sink;
+  Partition shard;
+  NodeCore core;
+};
+
+TEST(NodeCoreL1, LinNeverOffersAnUnpeekableKeyToTheSketch) {
+  CoreHarness h(ConsistencyModel::kLin);
+  h.MissRead(2);  // local key, one sighting
+  // Remote keys: were they offered, key 5 would take the second counter and
+  // key 7 would evict key 2 (the minimum), costing it its proven sighting.
+  for (const Key remote : {5, 5, 7, 7}) {
+    h.MissRead(remote);
+  }
+  h.MissRead(2);  // second proven sighting: admitted
+  EXPECT_TRUE(h.core.l1()->Contains(2));
+  EXPECT_FALSE(h.core.l1()->Contains(5));
+  EXPECT_FALSE(h.core.l1()->Contains(7));
+}
+
+TEST(NodeCoreL1, AdmitsOnlyProvenLocallyHotKeysOutsideTheSymmetricTier) {
+  CoreHarness h(ConsistencyModel::kSc);
+  h.core.PrefillHotSet({4});
+  h.MissRead(2);
+  EXPECT_FALSE(h.core.l1()->Contains(2));  // guaranteed count 1: not yet
+  h.MissRead(2);
+  EXPECT_TRUE(h.core.l1()->Contains(2));
+
+  CoreHarness resident(ConsistencyModel::kSc);
+  resident.core.PrefillHotSet({4});
+  for (int i = 0; i < 4; ++i) {
+    resident.MissRead(4);  // the symmetric tier already owns key 4
+  }
+  EXPECT_FALSE(resident.core.l1()->Contains(4));
+  EXPECT_EQ(resident.core.l1()->stats().fills, 0u);
+}
+
+TEST(NodeCoreL1, PutCompletionDropsAFillThatLandedAfterRouting) {
+  CoreHarness h(ConsistencyModel::kSc);
+  h.MissRead(2);
+  h.MissRead(2);
+  ASSERT_TRUE(h.core.l1()->Contains(2));
+  const Op put{OpType::kPut, 2, "new"};
+  EXPECT_EQ(h.Route(put), NodeCore::Route::kMiss);
+  EXPECT_FALSE(h.core.l1()->Contains(2));  // routing-time invalidation
+  h.MissRead(2);  // a concurrent GET that read the shard before the write
+  ASSERT_TRUE(h.core.l1()->Contains(2));
+  h.core.CompleteOp(put, NodeCore::Route::kMiss, Value{}, Timestamp{1, 0});
+  EXPECT_FALSE(h.core.l1()->Contains(2));
+}
+
+TEST(NodeCoreL1, LinHitWithAStaleHomeTimestampInvalidatesAndFallsThrough) {
+  CoreHarness h(ConsistencyModel::kLin);
+  h.MissRead(2);
+  h.MissRead(2);
+  const Op get{OpType::kGet, 2, {}};
+  ASSERT_EQ(h.Route(get), NodeCore::Route::kL1);  // home timestamp matches
+  h.shard.Put(2, "newer");  // a write the L1 copy never saw
+  EXPECT_EQ(h.Route(get), NodeCore::Route::kMiss);
+  EXPECT_FALSE(h.core.l1()->Contains(2));
+  EXPECT_EQ(h.core.l1()->stats().invalidations, 1u);
 }
 
 }  // namespace

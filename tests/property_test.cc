@@ -199,7 +199,7 @@ TEST_P(ProtocolConvergence, RandomDeliveryAlwaysConverges) {
   for (int w = 0; w < c.writes; ++w) {
     const auto node = static_cast<std::size_t>(rng.NextBounded(
         static_cast<std::uint64_t>(c.nodes)));
-    engines[node]->Write(key, "w" + std::to_string(w), [&] { ++completed; });
+    engines[node]->Write(key, "w" + std::to_string(w), [&](Timestamp) { ++completed; });
     // Interleave some deliveries.
     for (int d = 0; d < 3 && !fabric.queue.empty(); ++d) {
       if (rng.NextBool(0.6)) {

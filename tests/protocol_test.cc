@@ -145,7 +145,7 @@ class FakeFabric {
 TEST(ScProtocol, WriteAppliesLocallyImmediately) {
   FakeFabric f(3, ConsistencyModel::kSc);
   bool done = false;
-  const auto r = f.engine(0).Write(kKey, "new", [&] { done = true; });
+  const auto r = f.engine(0).Write(kKey, "new", [&](Timestamp) { done = true; });
   EXPECT_EQ(r, CoherenceEngine::WriteResult::kCompleted);
   EXPECT_TRUE(done);  // SC writes are non-blocking
   EXPECT_EQ(f.entry(0).value, "new");
@@ -226,7 +226,7 @@ TEST(ScProtocol, ReadsAlwaysHitValidEntries) {
 TEST(LinProtocol, WriteBlocksUntilAllAcks) {
   FakeFabric f(3, ConsistencyModel::kLin);
   bool done = false;
-  const auto r = f.engine(0).Write(kKey, "new", [&] { done = true; });
+  const auto r = f.engine(0).Write(kKey, "new", [&](Timestamp) { done = true; });
   EXPECT_EQ(r, CoherenceEngine::WriteResult::kPending);
   EXPECT_FALSE(done);
   EXPECT_EQ(f.entry(0).state(), CacheState::kWrite);
@@ -290,8 +290,8 @@ TEST(LinProtocol, ConcurrentWritersHigherTimestampWins) {
   FakeFabric f(3, ConsistencyModel::kLin);
   bool done0 = false;
   bool done1 = false;
-  f.engine(0).Write(kKey, "w0", [&] { done0 = true; });  // ts {1,0}
-  f.engine(1).Write(kKey, "w1", [&] { done1 = true; });  // ts {1,1}
+  f.engine(0).Write(kKey, "w0", [&](Timestamp) { done0 = true; });  // ts {1,0}
+  f.engine(1).Write(kKey, "w1", [&](Timestamp) { done1 = true; });  // ts {1,1}
   f.DeliverAllInOrder();
   EXPECT_TRUE(done0);
   EXPECT_TRUE(done1);
@@ -328,8 +328,8 @@ TEST(LinProtocol, UpdateOvertakingInvalidationIsSafe) {
 TEST(LinProtocol, LocalWritesQueuePerKey) {
   FakeFabric f(2, ConsistencyModel::kLin);
   std::vector<int> completion_order;
-  f.engine(0).Write(kKey, "first", [&] { completion_order.push_back(1); });
-  f.engine(0).Write(kKey, "second", [&] { completion_order.push_back(2); });
+  f.engine(0).Write(kKey, "first", [&](Timestamp) { completion_order.push_back(1); });
+  f.engine(0).Write(kKey, "second", [&](Timestamp) { completion_order.push_back(2); });
   EXPECT_EQ(f.engine(0).stats().local_writes_queued, 1u);
   f.DeliverAllInOrder();
   EXPECT_EQ(completion_order, (std::vector<int>{1, 2}));
@@ -340,7 +340,7 @@ TEST(LinProtocol, LocalWritesQueuePerKey) {
 TEST(LinProtocol, SingleNodeDegeneratesToLocalWrite) {
   FakeFabric f(1, ConsistencyModel::kLin);
   bool done = false;
-  f.engine(0).Write(kKey, "solo", [&] { done = true; });
+  f.engine(0).Write(kKey, "solo", [&](Timestamp) { done = true; });
   EXPECT_TRUE(done);  // no sharers: completes inline
   EXPECT_EQ(f.entry(0).state(), CacheState::kValid);
   EXPECT_EQ(f.entry(0).value, "solo");
@@ -357,7 +357,8 @@ TEST(LinProtocol, RandomizedConvergenceAndCompletion) {
     for (int w = 0; w < 5; ++w) {
       const int node = static_cast<int>(rng.NextBounded(3));
       ++issued;
-      f.engine(node).Write(kKey, "w" + std::to_string(w), [&] { ++completed; });
+      f.engine(node).Write(kKey, "w" + std::to_string(w),
+                           [&](Timestamp) { ++completed; });
       for (int d = 0; d < 2 && !f.queue().empty(); ++d) {
         if (rng.NextBool(0.7)) {
           f.DeliverOne(rng.NextBounded(f.queue().size()));
@@ -468,7 +469,8 @@ TEST(MembershipHooks, ScWriteToFillingEntryQueuesUntilFill) {
   f.cache(1).Admit(kFresh);
 
   bool done = false;
-  const auto result = f.engine(0).Write(kFresh, "queued", [&done] { done = true; });
+  const auto result =
+      f.engine(0).Write(kFresh, "queued", [&done](Timestamp) { done = true; });
   EXPECT_EQ(result, CoherenceEngine::WriteResult::kPending);
   EXPECT_FALSE(done);
   EXPECT_EQ(f.engine(0).stats().local_writes_queued, 1u);
@@ -494,7 +496,7 @@ TEST(MembershipHooks, LinWriteToFillingEntryQueuesUntilFill) {
   f.cache(1).Admit(kFresh);
 
   bool done = false;
-  f.engine(0).Write(kFresh, "queued", [&done] { done = true; });
+  f.engine(0).Write(kFresh, "queued", [&done](Timestamp) { done = true; });
   EXPECT_FALSE(done);
   EXPECT_TRUE(f.queue().empty());  // no invalidations until the fill
 
@@ -519,7 +521,7 @@ TEST(MembershipHooks, RemoteTrafficReleasesFillingQueuedWrite) {
   f.engine(1).OnFilled(kFresh);
 
   bool done = false;
-  f.engine(0).Write(kFresh, "mine", [&done] { done = true; });  // queued
+  f.engine(0).Write(kFresh, "mine", [&done](Timestamp) { done = true; });  // queued
   f.engine(1).Write(kFresh, "theirs", nullptr);
   f.DeliverAllInOrder();  // inv releases node 0's queued write; rounds drain
   EXPECT_TRUE(done);

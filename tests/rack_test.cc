@@ -248,5 +248,69 @@ TEST(RackEpochs, DriftingHotSetScStaysSequentiallyConsistent) {
   EXPECT_EQ(rack.history().CheckWriteAtomicity(), "");
 }
 
+// The node-private L1 tail in the simulator.  node_rank_stride rotates each
+// node's Zipf rank order, so the keys hot at a node are mostly not the
+// rack-wide hot set the symmetric caches hold: the L1 serves them.
+RackParams L1Rack(ConsistencyModel model) {
+  RackParams p = SmallRack(SystemKind::kCcKvs, model);
+  p.workload.keyspace = 4000;
+  p.workload.node_rank_stride = 1000;
+  p.workload.write_ratio = 0.05;
+  p.cache_capacity = 64;
+  p.l1_capacity = 256;
+  p.window_per_node = 8;
+  p.record_history = true;
+  return p;
+}
+
+TEST(RackL1, ScL1ServesHitsAndStaysSequentiallyConsistent) {
+  RackSimulation rack(L1Rack(ConsistencyModel::kSc));
+  const RackReport r = rack.Run(1'000'000, 0);
+  EXPECT_GT(r.l1_hits, 0u);
+  EXPECT_GT(r.l1_fills, 0u);
+  EXPECT_GT(r.l1_invalidations, 0u);
+  ASSERT_GT(rack.history().size(), 1000u);
+  EXPECT_EQ(rack.history().CheckPerKeySequentialConsistency(), "");
+  EXPECT_EQ(rack.history().CheckWriteAtomicity(), "");
+}
+
+TEST(RackL1, LinL1ServesHitsAndStaysLinearizable) {
+  // Lin admits only self-homed keys and revalidates every hit against the
+  // home shard's timestamp.
+  RackSimulation rack(L1Rack(ConsistencyModel::kLin));
+  const RackReport r = rack.Run(1'000'000, 0);
+  EXPECT_GT(r.l1_hits, 0u);
+  EXPECT_GT(r.l1_fills, 0u);
+  EXPECT_GT(r.l1_invalidations, 0u);
+  ASSERT_GT(rack.history().size(), 1000u);
+  EXPECT_EQ(rack.history().CheckPerKeyLinearizability(), "");
+  EXPECT_EQ(rack.history().CheckPerKeySequentialConsistency(), "");
+}
+
+TEST(RackL1, L1UnderDriftingOnlineTopKStaysConsistent) {
+  // Epoch transitions move keys between the tiers while both are serving:
+  // announces and fills drop private copies of promoted keys, write-backs
+  // drop copies the flushed value supersedes.
+  for (const ConsistencyModel model : {ConsistencyModel::kSc, ConsistencyModel::kLin}) {
+    RackParams p = L1Rack(model);
+    p.workload.drift_period_ops = 20'000;
+    p.workload.drift_rank_shift = 16;
+    p.online_topk = true;
+    p.topk_epoch_requests = 2500;
+    p.topk_sample_probability = 0.5;
+    RackSimulation rack(p);
+    const RackReport r = rack.Run(2'000'000, 0);
+    EXPECT_GT(r.epochs, 1u) << ToString(model);
+    EXPECT_GT(r.l1_hits, 0u) << ToString(model);
+    EXPECT_GT(r.l1_fills, 0u) << ToString(model);
+    EXPECT_GT(r.l1_invalidations, 0u) << ToString(model);
+    if (model == ConsistencyModel::kLin) {
+      EXPECT_EQ(rack.history().CheckPerKeyLinearizability(), "");
+    }
+    EXPECT_EQ(rack.history().CheckPerKeySequentialConsistency(), "") << ToString(model);
+    EXPECT_EQ(rack.history().CheckWriteAtomicity(), "") << ToString(model);
+  }
+}
+
 }  // namespace
 }  // namespace cckvs
