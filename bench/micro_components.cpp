@@ -1,7 +1,7 @@
 // google-benchmark microbenches for the data-plane components: the MICA-like
-// store (single- and multi-threaded CRCW), seqlocks, the Zipf sampler, the
-// symmetric cache probe path, the Space-Saving sketch and a transport-fabric
-// ping-pong per backend.
+// store (single- and multi-threaded CRCW, and batched Gets with and without
+// prefetch hints), seqlocks, the Zipf sampler, the symmetric cache probe path,
+// the Space-Saving sketch and a transport-fabric ping-pong per backend.
 //
 // These measure the real (wall-clock) cost of the concurrent data structures —
 // the part of the system that runs as genuine multithreaded code rather than
@@ -82,6 +82,48 @@ void BM_StoreGetSynthesized(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_StoreGetSynthesized);
+
+// The live node's issue batch in isolation: 32 random Gets on one read_zipf
+// shard (250k records, indexed by BucketsFor), issued plain (arg 0) or after a
+// PrefetchBucket pass and a PrefetchRecord pass over the whole batch (arg 1),
+// so the batch's bucket and record misses overlap.  get_time is the cost of
+// one Get, prefetches included.
+void BM_StoreGetBatch(benchmark::State& state) {
+  constexpr int kBatch = 32;
+  constexpr std::uint64_t kRecords = 250'000;
+  const bool prefetch = state.range(0) != 0;
+  PartitionConfig pc;
+  pc.buckets = Partition::BucketsFor(kRecords);
+  Partition part(pc);
+  for (Key k = 0; k < kRecords; ++k) {
+    part.Put(k, SynthesizeValue(k, 40));
+  }
+  Rng rng(4);
+  Key keys[kBatch];
+  Value v;
+  for (auto _ : state) {
+    for (Key& k : keys) {
+      k = rng.NextBounded(kRecords);
+    }
+    if (prefetch) {
+      for (Key k : keys) {
+        part.PrefetchBucket(k);
+      }
+      for (Key k : keys) {
+        part.PrefetchRecord(k);
+      }
+    }
+    for (Key k : keys) {
+      benchmark::DoNotOptimize(part.Get(k, &v));
+    }
+  }
+  state.SetItemsProcessed(state.iterations() * kBatch);
+  // Seconds per Get (printed with an SI prefix, e.g. "60ns").
+  using benchmark::Counter;
+  state.counters["get_time"] =
+      Counter(kBatch, Counter::kIsIterationInvariantRate | Counter::kInvert);
+}
+BENCHMARK(BM_StoreGetBatch)->ArgName("prefetch")->Arg(0)->Arg(1);
 
 // CRCW: concurrent readers with a 5% writer mix, the §6.2 concurrency model.
 void BM_StoreCrcwMixed(benchmark::State& state) {

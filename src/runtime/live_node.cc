@@ -70,6 +70,7 @@ LiveNode::LiveNode(LiveRack* rack, NodeId id, WorkloadGenerator gen)
     sessions_[s].id = static_cast<SessionId>(id) * 100000u + static_cast<SessionId>(s);
   }
   idle_sessions_ = sessions_.size();
+  issue_batch_.reserve(sessions_.size());
   rpc_waiting_.assign(sessions_.size(), 0);
   parked_sc_writes_.Reset(sessions_.size());
   parked_gated_.Reset(sessions_.size());
@@ -436,20 +437,44 @@ bool LiveNode::FillIdleSessions() {
   if (idle_sessions_ == 0) {
     return false;
   }
-  bool issued = false;
+  // Pass 1: draw each idle session's op (in slot order, so the generator's
+  // sequence is the one a one-at-a-time loop would draw) and start fetching
+  // its home bucket line.  Cache hits waste one prefetch; misses, the ops
+  // that pay for memory, find their bucket in cache by pass 2.
+  issue_batch_.clear();
   for (std::uint32_t s = 0; s < sessions_.size(); ++s) {
-    if (sessions_[s].idle) {
-      IssueOp(s);
-      issued = true;
+    Session& sess = sessions_[s];
+    if (!sess.idle) {
+      continue;
+    }
+    gen_.NextInto(&sess.op);  // reuses the slot's value capacity
+    const NodeId home = rack_->HomeOf(sess.op.key);
+    const Partition* shard =
+        rack_->IsLocal(home) ? &rack_->node(home).partition() : nullptr;
+    if (shard != nullptr) {
+      shard->PrefetchBucket(sess.op.key);
+    }
+    issue_batch_.push_back(BatchEntry{s, shard});
+  }
+  // Pass 2: the bucket lines have landed (or are in flight); follow each
+  // head slot to its record and start fetching that line too.
+  for (const BatchEntry& e : issue_batch_) {
+    if (e.home != nullptr) {
+      e.home->PrefetchRecord(sessions_[e.slot].op.key);
     }
   }
-  return issued;
+  // Pass 3: issue in slot order.  Every drawn op is issued in this pass.
+  for (const BatchEntry& e : issue_batch_) {
+    IssueOp(e.slot);
+  }
+  return true;
 }
 
 void LiveNode::IssueOp(std::uint32_t slot) {
   Session& sess = sessions_[slot];
   CCKVS_DCHECK(sess.idle);
-  gen_.NextInto(&sess.op);  // reuses the slot's value capacity
+  // Latency is stamped here, immediately before routing; the batch's draw and
+  // prefetch passes ran before the stamp, so they are not part of it.
   sess.invoke_cycles = CycleNow();
   if (tracer_ != nullptr && tracer_->SampleNext()) {
     // Deterministic 1-in-N op sampling: this op's whole lifecycle — including

@@ -137,7 +137,11 @@ class LiveNode final : private HotSetHost {
   // run loop should exit: either rank 0 certified global quiescence twice in
   // a row and broadcast the halt, or we received the halt.
   bool RankedTermination();
+  // Issue batch: draws an op for every idle session and prefetches each
+  // miss's home bucket, then its record, then issues the ops in slot order, so
+  // the shard stalls of a window overlap (MICA-style memory parallelism).
   bool FillIdleSessions();
+  // Stamps and routes the slot's already-drawn op.
   void IssueOp(std::uint32_t slot);
   // Routes the slot's already-generated op through the node core's hit path
   // (L1, then the symmetric cache), else the direct-shard miss path (parking
@@ -199,6 +203,15 @@ class LiveNode final : private HotSetHost {
 
   std::vector<Session> sessions_;
   std::size_t idle_sessions_ = 0;
+  // One FillIdleSessions pass: the drawn slots in slot order, each with its
+  // home shard when that shard is in this address space (else nullptr: the
+  // miss goes over RPC and there is nothing to prefetch).  Reserved to the
+  // session count at construction, so a pass never allocates.
+  struct BatchEntry {
+    std::uint32_t slot;
+    const Partition* home;
+  };
+  std::vector<BatchEntry> issue_batch_;
   SlotRing parked_sc_writes_;
   SlotRing parked_gated_;  // ops waiting out an epoch barrier
   bool retrying_gated_ = false;  // re-parks during RetryGatedOps are not counted

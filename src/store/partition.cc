@@ -18,20 +18,6 @@ std::size_t Partition::BucketsFor(std::size_t records) {
   return std::max<std::size_t>(1, (records + kRecordsPerBucket - 1) / kRecordsPerBucket);
 }
 
-Partition::Bucket& Partition::HomeBucket(std::uint64_t hash) const {
-  // Multiply-shift range reduction of the hash's low 32 bits onto
-  // [0, bucket count): exact for any count, and independent of the tag, which
-  // TagOf takes from the top 16 bits.
-  const std::uint64_t low = static_cast<std::uint32_t>(hash);
-  return const_cast<Bucket&>(buckets_[(low * buckets_.size()) >> 32]);
-}
-
-std::uint16_t Partition::TagOf(std::uint64_t hash) const {
-  // Never 0 so that a zeroed slot cannot alias a real tag.
-  const auto tag = static_cast<std::uint16_t>(hash >> 48);
-  return tag == 0 ? 1 : tag;
-}
-
 Partition::Bucket* Partition::OverflowBucket(std::uint32_t idx) const {
   const std::uint32_t chunk = idx / kOverflowChunkSize;
   if (chunk >= kMaxOverflowChunks) {

@@ -26,6 +26,7 @@
 #include <mutex>
 #include <vector>
 
+#include "src/common/hash.h"
 #include "src/common/types.h"
 #include "src/store/seqlock.h"
 #include "src/store/slab.h"
@@ -119,6 +120,32 @@ class Partition {
   // Removes the key.  Returns true if it was present.
   bool Erase(Key key);
 
+  // --- prefetch hints (the live node's issue batch) ---
+  //
+  // A miss is two dependent loads: the head bucket line, then the record line
+  // its slot points at.  A caller with several keys in hand issues
+  // PrefetchBucket for all of them, then PrefetchRecord for all of them, then
+  // the real Gets, so the stalls of a batch overlap instead of adding up.
+  // Both hints are pure: no stats, no seqlock, no stores.  PrefetchRecord
+  // peeks the head bucket's slots with relaxed loads; a torn or stale slot
+  // only wastes a prefetch, because the Get that follows does the checked read.
+  void PrefetchBucket(Key key) const {
+    __builtin_prefetch(&HomeBucket(HashKey(key)), /*rw=*/0, /*locality=*/3);
+  }
+  void PrefetchRecord(Key key) const {
+    const std::uint64_t h = HashKey(key);
+    const std::uint16_t tag = TagOf(h);
+    for (const AtomicSlot& atomic_slot : HomeBucket(h).slots) {
+      const Slot slot = atomic_slot.load();
+      if (slot.used != 0 && slot.tag == tag) {
+        if (const char* data = slab_.TryData(slot.ref); data != nullptr) {
+          __builtin_prefetch(data, /*rw=*/0, /*locality=*/3);
+        }
+        return;
+      }
+    }
+  }
+
   bool Contains(Key key) const;
   std::size_t size() const { return live_records_.load(std::memory_order_relaxed); }
 
@@ -196,8 +223,18 @@ class Partition {
   };
   static constexpr std::uint8_t kFlagCacheResident = 0x1;
 
-  Bucket& HomeBucket(std::uint64_t hash) const;
-  std::uint16_t TagOf(std::uint64_t hash) const;
+  Bucket& HomeBucket(std::uint64_t hash) const {
+    // Multiply-shift range reduction of the hash's low 32 bits onto
+    // [0, bucket count): exact for any count, and independent of the tag,
+    // which TagOf takes from the top 16 bits.
+    const std::uint64_t low = static_cast<std::uint32_t>(hash);
+    return const_cast<Bucket&>(buckets_[(low * buckets_.size()) >> 32]);
+  }
+  static std::uint16_t TagOf(std::uint64_t hash) {
+    // Never 0 so that a zeroed slot cannot alias a real tag.
+    const auto tag = static_cast<std::uint16_t>(hash >> 48);
+    return tag == 0 ? 1 : tag;
+  }
 
   // Walks bucket + overflow chain; returns the slot holding `key` or nullptr.
   // Writer-side only (called under the bucket lock).

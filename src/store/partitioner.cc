@@ -7,12 +7,9 @@
 
 namespace cckvs {
 
-ModuloPartitioner::ModuloPartitioner(int nodes) : nodes_(nodes) {
+ModuloPartitioner::ModuloPartitioner(int nodes)
+    : nodes_(nodes), mod_(static_cast<std::uint64_t>(std::max(nodes, 1))) {
   CCKVS_CHECK_GE(nodes, 1);
-}
-
-NodeId ModuloPartitioner::HomeOf(Key key) const {
-  return static_cast<NodeId>(HashKey(key) % static_cast<std::uint64_t>(nodes_));
 }
 
 ConsistentHashRing::ConsistentHashRing(int nodes, int vnodes, std::uint64_t seed)

@@ -1,5 +1,7 @@
 #include "src/store/slab.h"
 
+#include <cstring>
+
 namespace cckvs {
 
 int SlabAllocator::ClassFor(std::size_t bytes) {
@@ -12,11 +14,6 @@ int SlabAllocator::ClassFor(std::size_t bytes) {
   }
   CCKVS_CHECK(false && "record larger than the largest slab class");
   return -1;
-}
-
-std::size_t SlabAllocator::ClassBytes(int cls) {
-  CCKVS_DCHECK(cls >= 0 && cls < kNumClasses);
-  return kMinClassBytes << cls;
 }
 
 SlabAllocator::Ref SlabAllocator::Allocate(std::size_t bytes) {
@@ -33,7 +30,10 @@ SlabAllocator::Ref SlabAllocator::Allocate(std::size_t bytes) {
     CCKVS_CHECK_LT(chunk, kMaxChunks);
     if (chunk >= sc.owned.size()) {
       const std::size_t chunk_bytes = ClassBytes(cls) * kChunkSlots;
-      sc.owned.push_back(std::make_unique<char[]>(chunk_bytes));
+      void* raw = ::operator new[](chunk_bytes, std::align_val_t{kChunkAlign});
+      char* base = static_cast<char*>(raw);
+      std::memset(base, 0, chunk_bytes);
+      sc.owned.emplace_back(base);
       sc.chunk_ptrs[chunk].store(sc.owned.back().get(), std::memory_order_release);
       arena_bytes_.fetch_add(chunk_bytes, std::memory_order_relaxed);
     }
@@ -61,23 +61,6 @@ char* SlabAllocator::Data(Ref ref) {
 
 const char* SlabAllocator::Data(Ref ref) const {
   return const_cast<SlabAllocator*>(this)->Data(ref);
-}
-
-const char* SlabAllocator::TryData(Ref ref) const {
-  if (ref.cls >= kNumClasses) {
-    return nullptr;
-  }
-  const std::uint32_t chunk = ref.idx / kChunkSlots;
-  if (chunk >= kMaxChunks) {
-    return nullptr;
-  }
-  const SizeClass& sc = classes_[ref.cls];
-  const char* base = sc.chunk_ptrs[chunk].load(std::memory_order_acquire);
-  if (base == nullptr) {
-    return nullptr;
-  }
-  const std::uint32_t slot = ref.idx % kChunkSlots;
-  return base + static_cast<std::size_t>(slot) * ClassBytes(ref.cls);
 }
 
 }  // namespace cckvs

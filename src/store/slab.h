@@ -4,6 +4,10 @@
 // memory is never unmapped, which is what makes the seqlock read protocol safe:
 // a reader racing with a concurrent free/reuse may copy garbage bytes, but never
 // touches unmapped memory, and the seqlock version check discards the torn copy.
+//
+// Arena chunks start on a cache-line boundary, and every class size is a
+// power of two of at least 32 B, so a record of 64 B or less sits in exactly
+// one line: a shard miss pays one line for the record, never two.
 
 #ifndef CCKVS_STORE_SLAB_H_
 #define CCKVS_STORE_SLAB_H_
@@ -12,6 +16,7 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <new>
 #include <vector>
 
 #include "src/common/check.h"
@@ -31,6 +36,8 @@ class SlabAllocator {
   // Size classes: 32, 64, 128, ..., 32 * 2^(kNumClasses-1) bytes.
   static constexpr int kNumClasses = 10;  // up to 16 KiB records
   static constexpr std::size_t kMinClassBytes = 32;
+  // Alignment of every arena chunk: one cache line.
+  static constexpr std::size_t kChunkAlign = 64;
 
   SlabAllocator() = default;
   SlabAllocator(const SlabAllocator&) = delete;
@@ -38,7 +45,10 @@ class SlabAllocator {
 
   // Smallest class that fits `bytes`; CHECKs that one exists.
   static int ClassFor(std::size_t bytes);
-  static std::size_t ClassBytes(int cls);
+  static std::size_t ClassBytes(int cls) {
+    CCKVS_DCHECK(cls >= 0 && cls < kNumClasses);
+    return kMinClassBytes << cls;
+  }
 
   // Allocates a slot able to hold `bytes`.  Thread-safe.
   Ref Allocate(std::size_t bytes);
@@ -55,7 +65,21 @@ class SlabAllocator {
   // Tolerant variant for the seqlock read path: a torn bucket read can produce a
   // garbage ref, so out-of-range or unmapped refs return nullptr instead of
   // faulting; the caller's ReadRetry() then discards the attempt.
-  const char* TryData(Ref ref) const;
+  const char* TryData(Ref ref) const {
+    if (ref.cls >= kNumClasses) {
+      return nullptr;
+    }
+    const std::uint32_t chunk = ref.idx / kChunkSlots;
+    if (chunk >= kMaxChunks) {
+      return nullptr;
+    }
+    const SizeClass& sc = classes_[ref.cls];
+    const char* base = sc.chunk_ptrs[chunk].load(std::memory_order_acquire);
+    if (base == nullptr) {
+      return nullptr;
+    }
+    return base + static_cast<std::size_t>(ref.idx % kChunkSlots) * ClassBytes(ref.cls);
+  }
 
   std::uint64_t allocated_slots() const {
     return allocated_.load(std::memory_order_relaxed);
@@ -88,13 +112,20 @@ class SlabAllocator {
   // Hard cap per class: 4096 chunks x 1024 slots = 4M records per class.
   static constexpr std::uint32_t kMaxChunks = 4096;
 
+  // Frees a kChunkAlign-aligned chunk.
+  struct ChunkDelete {
+    void operator()(char* chunk) const {
+      ::operator delete[](chunk, std::align_val_t{kChunkAlign});
+    }
+  };
+
   struct SizeClass {
     std::mutex mu;
     // Readers resolve Data() through these atomics without taking `mu`; the
     // array is fixed-size so there is no reallocation race.  `owned` keeps the
-    // allocations alive and is only touched under `mu`.
+    // line-aligned chunks alive and is only touched under `mu`.
     std::atomic<char*> chunk_ptrs[kMaxChunks] = {};
-    std::vector<std::unique_ptr<char[]>> owned;
+    std::vector<std::unique_ptr<char[], ChunkDelete>> owned;
     std::vector<std::uint32_t> freelist;
     std::uint32_t next_unused = 0;  // high-water mark across chunks
   };

@@ -6,10 +6,13 @@
 // with genuine concurrency.  Op counts scale down under sanitizers (and up
 // via CCKVS_LIVE_OPS) — a plain Release run covers millions of operations.
 
+#include <algorithm>
 #include <chrono>
 #include <cstdlib>
 #include <string>
 #include <thread>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -356,6 +359,45 @@ TEST(LiveRackTest, EarlyStopStillSealsHistories) {
   EXPECT_GT(r.completed, 0u);
   EXPECT_LT(r.completed, p.ops_per_node * static_cast<std::uint64_t>(p.num_nodes));
   EXPECT_EQ(rack.history().CheckPerKeyLinearizability(), "");
+}
+
+// The issue batch draws an op for every idle session before issuing any, so
+// it must neither drop nor reorder generator draws across a wide window (300
+// sessions, more than any fixed-size batch).  Each node's history, as a
+// multiset of (type, key), is exactly the first N draws of a fresh generator
+// seeded as that node's, and the checkers stay clean.
+TEST(LiveRackTest, IssueBatchDrawsEveryGeneratedOp) {
+  for (ConsistencyModel model : {ConsistencyModel::kSc, ConsistencyModel::kLin}) {
+    LiveRackParams p = StressParams(model);
+    p.window_per_node = 300;
+    p.ops_per_node = OpsPerNode(20'000, 4'000);
+    LiveRack rack(p);
+    const LiveReport r = rack.Run();
+    EXPECT_EQ(rack.history().size(), r.completed);
+    std::vector<WorkloadGenerator> fresh =
+        MakePerThreadGenerators(p.workload, p.num_nodes, p.seed);
+    for (NodeId id = 0; id < p.num_nodes; ++id) {
+      std::vector<std::pair<OpType, Key>> issued;
+      for (const HistoryOp& h : rack.node(id).history_ops()) {
+        issued.emplace_back(h.type, h.key);
+      }
+      EXPECT_GE(issued.size(), p.ops_per_node);
+      std::vector<std::pair<OpType, Key>> drawn;
+      for (std::size_t i = 0; i < issued.size(); ++i) {
+        const Op op = fresh[id].Next();
+        drawn.emplace_back(op.type, op.key);
+      }
+      std::sort(issued.begin(), issued.end());
+      std::sort(drawn.begin(), drawn.end());
+      EXPECT_TRUE(issued == drawn) << "model=" << ToString(model) << " node " << int{id};
+    }
+    if (model == ConsistencyModel::kSc) {
+      EXPECT_EQ(rack.history().CheckPerKeySequentialConsistency(), "");
+    } else {
+      EXPECT_EQ(rack.history().CheckPerKeyLinearizability(), "");
+    }
+    EXPECT_EQ(rack.history().CheckWriteAtomicity(), "");
+  }
 }
 
 // A prefilled shard is sized for its share of the keyspace, with

@@ -9,6 +9,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "src/common/hash.h"
 #include "src/common/rng.h"
 #include "src/store/partition.h"
 #include "src/store/partitioner.h"
@@ -169,6 +170,26 @@ TEST(Slab, ConcurrentAllocFree) {
     t.join();
   }
   EXPECT_EQ(slab.allocated_slots(), slab.freed_slots());
+}
+
+// Arena chunks start on a cache line, so a record of 64 B or more begins on a
+// line boundary and a 32 B record never straddles two lines.  The two smallest
+// classes get three chunks each, so later chunks are checked too.
+TEST(Slab, SlabRecordsAreLineAligned) {
+  SlabAllocator slab;
+  for (int cls = 0; cls < SlabAllocator::kNumClasses; ++cls) {
+    const std::size_t bytes = SlabAllocator::ClassBytes(cls);
+    const int records = bytes <= 64 ? 3000 : 4;
+    for (int i = 0; i < records; ++i) {
+      const auto addr = reinterpret_cast<std::uintptr_t>(slab.Data(slab.Allocate(bytes)));
+      if (bytes >= 64) {
+        ASSERT_EQ(addr % 64, 0u) << "class " << bytes << " B, record " << i;
+      } else {
+        ASSERT_EQ(addr / 64, (addr + bytes - 1) / 64)
+            << "class " << bytes << " B, record " << i << " straddles a line";
+      }
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -438,6 +459,135 @@ TEST(Partition, ConcurrentWritersDistinctKeys) {
 }
 
 // ---------------------------------------------------------------------------
+// Prefetch hints
+// ---------------------------------------------------------------------------
+
+void ExpectSameStats(const PartitionStats& a, const PartitionStats& b) {
+  EXPECT_EQ(a.misses, b.misses);
+  EXPECT_EQ(a.synthesized_gets, b.synthesized_gets);
+  EXPECT_EQ(a.read_retries, b.read_retries);
+  EXPECT_EQ(a.stale_applies, b.stale_applies);
+}
+
+// The hints read nothing a Get would report and write nothing at all: every
+// kind of key — present in its head bucket, present down an overflow chain,
+// cache-resident, absent and synthesized, absent with no synthesizer — reads
+// back the same, and no counter moves.
+TEST(Partition, PrefetchHintsHaveNoSideEffects) {
+  PartitionConfig pc = SmallConfig();
+  pc.synthesize = [](Key key) { return "synth-" + std::to_string(key); };
+  Partition part(pc);
+  Partition bare(SmallConfig());  // no synthesizer: an absent key is a miss
+  // 64 buckets x 7 ways hold 448 keys inline; the rest sit in overflow chains.
+  constexpr Key kKeys = 2'000;
+  for (Key k = 0; k < kKeys; ++k) {
+    part.Put(k, std::to_string(k));
+    bare.Put(k, std::to_string(k));
+  }
+  ASSERT_GT(part.overflow_buckets(), 0u);
+  for (Key k = 0; k < kKeys; k += 10) {
+    part.MarkCacheResident(k);
+  }
+  std::vector<Key> probes;
+  for (Key k = 0; k < kKeys + 500; ++k) {  // the last 500 are absent
+    probes.push_back(k);
+  }
+
+  struct Read {
+    bool ok = false;
+    Value value;
+    Timestamp ts;
+    bool resident = false;
+  };
+  auto read_all = [&probes](const Partition& p) {
+    std::vector<Read> out(probes.size());
+    for (std::size_t i = 0; i < probes.size(); ++i) {
+      out[i].ok = p.Get(probes[i], &out[i].value, &out[i].ts, &out[i].resident);
+    }
+    return out;
+  };
+  const std::vector<Read> before = read_all(part);
+  const std::vector<Read> bare_before = read_all(bare);
+  const PartitionStats stats = part.stats();
+  const PartitionStats bare_stats = bare.stats();
+  const SlabAllocator::Stats slab = part.slab_stats();
+  const std::size_t size = part.size();
+
+  for (Key k : probes) {
+    part.PrefetchBucket(k);
+    part.PrefetchRecord(k);
+    bare.PrefetchBucket(k);
+    bare.PrefetchRecord(k);
+  }
+  ExpectSameStats(part.stats(), stats);
+  ExpectSameStats(bare.stats(), bare_stats);
+  EXPECT_EQ(part.slab_stats().live_slots, slab.live_slots);
+  EXPECT_EQ(part.slab_stats().arena_bytes, slab.arena_bytes);
+  EXPECT_EQ(part.size(), size);
+
+  const std::vector<Read> after = read_all(part);
+  const std::vector<Read> bare_after = read_all(bare);
+  for (std::size_t i = 0; i < probes.size(); ++i) {
+    ASSERT_EQ(after[i].ok, before[i].ok) << "key " << probes[i];
+    ASSERT_EQ(after[i].value, before[i].value) << "key " << probes[i];
+    ASSERT_EQ(after[i].ts, before[i].ts) << "key " << probes[i];
+    ASSERT_EQ(after[i].resident, before[i].resident) << "key " << probes[i];
+    ASSERT_EQ(bare_after[i].ok, bare_before[i].ok) << "key " << probes[i];
+    ASSERT_EQ(bare_after[i].value, bare_before[i].value) << "key " << probes[i];
+  }
+  EXPECT_TRUE(before[10].resident);
+  EXPECT_EQ(before[kKeys].value, "synth-" + std::to_string(kKeys));
+  EXPECT_FALSE(bare_before[kKeys].ok);
+}
+
+// PrefetchRecord peeks slots with no seqlock while writers move records
+// between size classes (freeing and reusing slab slots) and erase and
+// re-insert keys.  The hint must stay race-free (TSan runs this) and the Gets
+// interleaved with it must never see a torn value.
+TEST(Partition, PrefetchRecordUnderWriterChurn) {
+  Partition part(SmallConfig());
+  constexpr Key kKeys = 600;  // past the 448 inline slots: chains churn too
+  for (Key k = 0; k < kKeys; ++k) {
+    part.Put(k, std::string(8, 'a'));
+  }
+  std::atomic<bool> stop{false};
+  std::atomic<int> bad{0};
+  std::thread writer([&] {
+    Rng rng(11);
+    for (int i = 0; i < 40'000; ++i) {
+      const Key k = rng.NextBounded(kKeys);
+      if (rng.NextBool(0.1)) {
+        part.Erase(k);
+      }
+      // One fill byte repeated over 8..200 B: crosses three size classes.
+      const auto len = static_cast<std::size_t>(8 + rng.NextBounded(193));
+      part.Put(k, std::string(len, static_cast<char>('a' + i % 26)));
+    }
+    stop.store(true);
+  });
+  std::vector<std::thread> readers;
+  for (int r = 0; r < 2; ++r) {
+    readers.emplace_back([&, r] {
+      Rng rng(static_cast<std::uint64_t>(100 + r));
+      Value v;
+      while (!stop.load(std::memory_order_relaxed)) {
+        const Key k = rng.NextBounded(kKeys);
+        part.PrefetchBucket(k);
+        part.PrefetchRecord(k);
+        if (part.Get(k, &v) && (v.empty() || v.find_first_not_of(v[0]) != Value::npos)) {
+          bad.fetch_add(1);
+        }
+      }
+    });
+  }
+  writer.join();
+  for (auto& t : readers) {
+    t.join();
+  }
+  EXPECT_EQ(bad.load(), 0);
+}
+
+// ---------------------------------------------------------------------------
 // Cache-residency gate (hot-set epoch machinery)
 // ---------------------------------------------------------------------------
 
@@ -530,6 +680,28 @@ TEST(ModuloPartitioner, CoversAllNodesEvenly) {
   }
   for (int c : counts) {
     EXPECT_NEAR(c, 10000, 400);
+  }
+}
+
+// HomeOf replaces the 64-bit `%` with a reciprocal multiply; the homes must be
+// bit-identical, for real key hashes and at the top of the hash range.
+TEST(ModuloPartitioner, HomesMatchPlainModulo) {
+  for (int n = 1; n <= 16; ++n) {
+    const ModuloPartitioner part(n);
+    const auto d = static_cast<std::uint64_t>(n);
+    for (Key k = 0; k < 1'000'000; ++k) {
+      ASSERT_EQ(part.HomeOf(k), HashKey(k) % d) << "key " << k << ", n " << n;
+    }
+    const FastModulo mod(d);
+    Rng rng(static_cast<std::uint64_t>(n));
+    for (std::uint64_t i = 0; i < 100'000; ++i) {
+      const std::uint64_t top = UINT64_MAX - i;
+      const std::uint64_t middle = (UINT64_MAX >> 1) + i;
+      const std::uint64_t high_random = rng.Next() | (std::uint64_t{1} << 63);
+      for (std::uint64_t h : {top, middle, i, high_random}) {
+        ASSERT_EQ(mod(h), h % d) << "hash " << h << ", n " << n;
+      }
+    }
   }
 }
 
