@@ -32,9 +32,9 @@
 //
 // Credit accounting is deliberately NOT batched: credits are acquired per
 // message before it enters a batch, and receivers count/return them per
-// message (§6.3's bounds are about messages, not packets).  Likewise
-// LiveTransport::inflight() counts messages from the moment they enter an
-// open batch, so the drain-phase exit condition is unchanged.
+// message (§6.3's bounds are about messages, not packets).  Likewise the
+// termination counters (control_messages.h) count a message as sent from the
+// moment it enters an open batch, so the drain-phase exit rule is unchanged.
 //
 // Receive side: UpdateRunDemux groups consecutive same-key *updates* in the
 // drained stream into a run and forwards only the run's maximum-timestamp
@@ -68,7 +68,7 @@ class Tracer;  // runtime/tracing.h; batch-residence spans are optional
 // One message on the live fabric: the consistency protocol's three classes,
 // the hot-set subsystem's epoch traffic, the §6.1 RPC miss path (ranked
 // cross-process racks can't read a remote rank's shards through a seqlock, so
-// remote-homed misses travel as RpcRequest/RpcResponse), and the ranked
+// remote-homed misses travel as RpcRequest/RpcResponse), and the
 // termination handshake (control_messages.h).  Epoch messages ride the same
 // credited lanes as broadcasts, which both bounds them under the §6.3 credit
 // scheme and keeps them FIFO behind the updates a node sent earlier — the

@@ -14,7 +14,7 @@ namespace cckvs {
 namespace {
 
 // The single-process transport: one lock-free SPSC ring per (src,dst) lane, a
-// doorbell per node, a credit matrix of atomics, one shared inflight counter.
+// doorbell per node and a credit matrix of atomics.
 // Batches move by value — no serialization on this path, which is what makes
 // inproc the baseline the byte-moving backends are diffed against — and so
 // each lane also carries a return ring that brings drained batches back to
@@ -94,16 +94,6 @@ class InprocFabric final : public TransportFabric {
     return Cell(self, peer).exchange(0, std::memory_order_acquire);
   }
 
-  void AddInflight(std::uint64_t n) override {
-    inflight_.fetch_add(n, std::memory_order_acq_rel);
-  }
-  void SubInflight(std::uint64_t n) override {
-    inflight_.fetch_sub(n, std::memory_order_acq_rel);
-  }
-  std::uint64_t inflight() const override {
-    return inflight_.load(std::memory_order_acquire);
-  }
-
   FabricStats stats(NodeId self) const override {
     FabricStats s;
     for (int src = 0; src < num_nodes_; ++src) {
@@ -149,7 +139,6 @@ class InprocFabric final : public TransportFabric {
   std::vector<std::unique_ptr<Lane>> lanes_;  // [src][dst]
   std::vector<std::unique_ptr<Doorbell>> doorbells_;
   std::vector<std::atomic<int>> returned_;
-  std::atomic<std::uint64_t> inflight_{0};
 };
 
 }  // namespace

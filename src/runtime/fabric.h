@@ -13,21 +13,23 @@
 //                                that owns it (see "batch ownership");
 //   * ReturnCredits / TakeReturnedCredits — the header-only credit-update
 //                                ride (an atomic add in-process, a credit
-//                                frame on the wire);
-//   * Add/SubInflight          — the message-granular drain-phase counter.
+//                                frame on the wire).
+//
+// Nothing here counts messages in flight: every rack, in one process or
+// many, detects the end of its drain with the four-counter protocol in
+// control_messages.h, whose counters live in the endpoints above this
+// interface and whose probes ride the lanes like any other message.
 //
 // Backends:
 //
 //   kInproc  — a lock-free SPSC ring per (src,dst) lane plus a doorbell per
 //              node, and an atomic credit matrix; single process.
 //   kShm     — one mmap'd region: per-(src,dst) SPSC byte rings carrying
-//              serialized frames, process-shared doorbells, credit matrix and
-//              inflight counter in the region.  Same-host multi-process.
+//              serialized frames, process-shared doorbells and the credit
+//              matrix in the region.  Same-host multi-process.
 //   kSocket  — UDS or TCP stream per peer pair carrying length-prefixed
 //              frames; a receive thread demuxes into local inboxes.  Ranked
-//              mode spans hosts, so inflight() is process-local there and
-//              ranked racks terminate via the counting protocol
-//              (control_messages.h) instead.
+//              mode spans hosts.
 //
 // Batch ownership.  Every WireBatch belongs to exactly one thread's
 // WireBatchPool — an unsynchronised free list — so no free list is shared
@@ -186,12 +188,6 @@ class TransportFabric {
   // (resets the counter).  Owning thread of `self` only.
   virtual int TakeReturnedCredits(NodeId self, NodeId peer) = 0;
 
-  // Message-granular inflight accounting (rack-global for inproc/shm;
-  // process-local for ranked socket fabrics — see header comment).
-  virtual void AddInflight(std::uint64_t n) = 0;
-  virtual void SubInflight(std::uint64_t n) = 0;
-  virtual std::uint64_t inflight() const = 0;
-
   virtual FabricStats stats(NodeId self) const = 0;
 
   // Batches queued toward `self` and not yet drained (inproc/socket: inbox
@@ -201,11 +197,6 @@ class TransportFabric {
     (void)self;
     return 0;
   }
-
-  // True when inflight() is a rack-global count usable as the drain-phase
-  // exit condition.  Ranked socket fabrics return false; those racks
-  // terminate via the counting protocol instead.
-  virtual bool InflightIsGlobal() const { return true; }
 
   // First transport-level fault (peer hangup mid-frame, short write, decode
   // failure), empty when healthy.  Sticky; safe from any thread.

@@ -31,7 +31,7 @@ LiveNode::LiveNode(LiveRack* rack, NodeId id, WorkloadGenerator gen)
   const LiveRackParams& p = rack->params();
   quota_ = p.ops_per_node;
   ranked_ = rack->ranked();
-  coordinator_ = ranked_ && id == 0;
+  coordinator_ = id == 0;
   tracer_ = rack->tracer(id);
   if (tracer_ != nullptr) {
     ep_->set_tracer(tracer_);  // batch-residence spans (coalescer.h)
@@ -136,7 +136,7 @@ void LiveNode::Run(StopToken stop) {
                        int{id_}, halted_, idle_sessions_, sessions_.size(),
                        parked_sc_writes_.size(), parked_gated_.size(),
                        rpc_outstanding_,
-                       ranked_ ? LocallyQuiescent() : done_, !ep_->NothingPending(),
+                       LocallyQuiescent(), !ep_->NothingPending(),
                        core_.engine()->Quiescent(),
                        static_cast<unsigned long long>(core_.counts().completed),
                        static_cast<unsigned long long>(ep_->data_sent()),
@@ -165,33 +165,18 @@ void LiveNode::Run(StopToken stop) {
       }
     }
     PollAllocWindow();
+    if (owed_probe_ != 0 && halted_) {
+      AnswerProbe();
+    }
 
     // Op boundary: everything this iteration produced — acks for the polled
     // invalidations, updates/invalidations/epoch traffic from the ops above —
-    // ships now, one batch per peer.  Unconditional, so no message outlives
-    // an iteration inside an open batch and the done-check below can trust
-    // NothingPending().
+    // ships now, one batch per peer (or, under a flush deadline, once its
+    // hold expires).
     ep_->FlushBatches(FlushCause::kBoundary);
 
-    if (ranked_) {
-      // Multi-process: no shared inflight atomic to consult, so global
-      // quiescence is certified by the counting protocol instead.
-      if (RankedTermination()) {
-        return;
-      }
-    } else {
-      if (!done_ && LocallyQuiescent()) {
-        // Locally quiescent: no client work, no parked protocol work.  This is
-        // monotonic — with no local ops, incoming messages can only be updates
-        // (no sends) or invalidations (ack rides implicit credits).
-        done_ = true;
-        rack_->OnNodeDone();
-      }
-      if (done_ && rack_->AllNodesDone() && rack_->transport().inflight() == 0) {
-        // No node can create new messages and none are in flight: the rack is
-        // globally quiescent, histories are sealed.
-        return;
-      }
+    if (StepTermination()) {
+      return;  // the rack is globally quiescent: histories are sealed
     }
 
     PublishCounters();
@@ -212,8 +197,7 @@ void LiveNode::Run(StopToken stop) {
         // Nothing to do right now.  Credit returns are silent (atomic adds),
         // so bound the sleep rather than waiting for a message that may not
         // come.
-        const bool settled = ranked_ ? LocallyQuiescent() : done_;
-        ep_->WaitForTraffic(std::chrono::microseconds(settled ? 50 : 200));
+        ep_->WaitForTraffic(std::chrono::microseconds(LocallyQuiescent() ? 50 : 200));
       }
     }
   }
@@ -300,16 +284,7 @@ std::size_t LiveNode::PollInbound(std::size_t max) {
     } else if (const auto* resp = std::get_if<RpcResponse>(&body)) {
       OnRpcResponse(*resp);
     } else if (const auto* probe = std::get_if<TermProbeMsg>(&body)) {
-      // Answer with this rank's counters *now* — after the probe itself has
-      // been counted as processed (Poll increments before this handler runs
-      // only for data messages; Term* are excluded on both sides).
-      TermStatusMsg status;
-      status.round = probe->round;
-      status.rank = id_;
-      status.done = LocallyQuiescent();
-      status.sent = ep_->data_sent();
-      status.processed = ep_->data_processed();
-      ep_->SendDirect(src, WireBody{status});
+      owed_probe_ = probe->round;  // answered by the run loop once halted
     } else if (const auto* status = std::get_if<TermStatusMsg>(&body)) {
       if (coordinator_ && round_open_ && status->round == term_round_) {
         round_status_.push_back(*status);
@@ -721,11 +696,22 @@ bool LiveNode::LocallyQuiescent() const {
          parked_gated_.empty() && ep_->NothingPending() && core_.engine()->Quiescent();
 }
 
-bool LiveNode::RankedTermination() {
+void LiveNode::AnswerProbe() {
+  TermStatusMsg status;
+  status.round = owed_probe_;
+  status.rank = id_;
+  status.done = LocallyQuiescent();
+  status.sent = ep_->data_sent();
+  status.processed = ep_->data_processed();
+  ep_->SendDirect(0, WireBody{status});
+  owed_probe_ = 0;
+}
+
+bool LiveNode::StepTermination() {
   if (halt_) {
-    // Coordinator certified global quiescence (or told us so): one last flush
-    // so our own halt/status bytes are on the wire, then exit.
-    ep_->FlushBatches(FlushCause::kBoundary);
+    // The coordinator certified global quiescence: ship anything still open
+    // (no later wakeup would), then exit.
+    ep_->FlushBatchesNow();
     return true;
   }
   if (!coordinator_) {
@@ -758,7 +744,7 @@ bool LiveNode::RankedTermination() {
           ep_->SendDirect(peer, WireBody{TermHaltMsg{term_round_}});
         }
       }
-      ep_->FlushBatches(FlushCause::kBoundary);
+      ep_->FlushBatchesNow();
       halt_ = true;
       return true;
     }

@@ -52,8 +52,8 @@ class LiveNode final : private HotSetHost {
   void PrefillHotSet(const std::vector<Key>& hot_keys) { core_.PrefillHotSet(hot_keys); }
 
   // Thread body.  Issues ops until the quota (or a stop request), then drains:
-  // keeps pumping messages until every node is quiescent and the fabric is
-  // empty, so all histories seal.
+  // keeps pumping messages until node 0 certifies that every node is
+  // quiescent and no message is in flight, so all histories seal.
   void Run(StopToken stop);
 
   // Shard access; the CRCW seqlock path makes this safe from any thread.
@@ -131,12 +131,20 @@ class LiveNode final : private HotSetHost {
   // gate exactly like a local miss would.
   void ServeRpc(NodeId src, const RpcRequest& req);
   void OnRpcResponse(const RpcResponse& resp);
-  // True when this rank can neither create nor owe any protocol message.
+  // True when this node can neither create nor owe any protocol message.
+  // Recomputed on every probe: a late announce or a credit-parked send makes
+  // a halted node busy again.
   bool LocallyQuiescent() const;
-  // Four-counter termination (control_messages.h).  Returns true when the
-  // run loop should exit: either rank 0 certified global quiescence twice in
-  // a row and broadcast the halt, or we received the halt.
-  bool RankedTermination();
+  // One step of the four-counter termination protocol (control_messages.h),
+  // the drain rule of every rack.  Returns true when the run loop should
+  // exit: node 0 saw two identical rounds with every node quiescent and the
+  // sent/processed sums equal and broadcast the halt, or we received it.
+  bool StepTermination();
+  // Reports this node's counters to node 0 for round owed_probe_.  Called
+  // only once the node has halted: a node still issuing ops is not done, so
+  // no round could succeed sooner, and a reply sent then would re-seat a
+  // batch slot inside the node's allocation window.
+  void AnswerProbe();
   // Issue batch: draws an op for every idle session and prefetches each
   // miss's home bucket, then its record, then issues the ops in slot order, so
   // the shard stalls of a window overlap (MICA-style memory parallelism).
@@ -217,7 +225,6 @@ class LiveNode final : private HotSetHost {
   bool retrying_gated_ = false;  // re-parks during RetryGatedOps are not counted
   std::uint64_t quota_ = 0;
   bool halted_ = false;  // stopped issuing new ops
-  bool done_ = false;    // locally quiescent, reported to the rack
   bool record_history_ = false;  // cached: skips history-clock reads when off
   bool busy_poll_ = false;
 
@@ -236,13 +243,15 @@ class LiveNode final : private HotSetHost {
 
   // --- ranked-mode state ---
   bool ranked_ = false;
-  bool coordinator_ = false;  // ranked_ && rank 0: runs the termination probe
-  bool halt_ = false;         // TermHalt seen (or sent): exit after a flush
   std::vector<std::uint8_t> rpc_waiting_;  // per-slot: op is out on the wire
   std::size_t rpc_outstanding_ = 0;
-  // Inbound RPCs parked behind the residency gate, retried by the run loop.
+
+  // --- termination state (control_messages.h) ---
+  bool coordinator_ = false;  // node 0: runs the termination probe
+  bool halt_ = false;         // TermHalt seen (or sent): exit after a flush
+  std::uint32_t owed_probe_ = 0;  // round of a probe not yet answered (0: none)
   // Coordinator probe-round state: statuses collected this round, and the
-  // previous round's (sent, processed) per rank for the two-identical-rounds
+  // previous round's (sent, processed) per node for the two-identical-rounds
   // stability test.
   std::uint32_t term_round_ = 0;
   bool round_open_ = false;

@@ -20,10 +20,11 @@ LiveTransport::Config TransportConfig(const LiveRackParams& p) {
   c.credit_update_batch = p.credit_update_batch;
   // A node's inbound channel holds at most (n-1)*credits credited broadcasts
   // plus (n-1)*window implicit-credit acks (one per outstanding invalidation
-  // of at most `window` in-flight local writes), plus — in ranked mode —
-  // (n-1)*window inbound RPC requests, `window` responses, and a couple of
-  // termination-control messages per peer.  Size to that bound so delivery
-  // never blocks; the slack absorbs nothing in theory, everything in practice.
+  // of at most `window` in-flight local writes), a couple of
+  // termination-control messages per peer, and — in ranked mode —
+  // (n-1)*window inbound RPC requests and `window` responses.  Size to that
+  // bound so delivery never blocks; the slack absorbs nothing in theory,
+  // everything in practice.
   c.channel_capacity =
       static_cast<std::size_t>(p.num_nodes - 1) *
           static_cast<std::size_t>(p.bcast_credits_per_peer +

@@ -88,11 +88,8 @@ LiveTransport::Endpoint::Endpoint(LiveTransport* transport, NodeId self)
 }
 
 void LiveTransport::Endpoint::Enqueue(NodeId to, WireBody body) {
-  // Count before the message becomes visible so inflight() never
-  // under-reports a consumable message; the receiver decrements after its
-  // handler finishes.  Messages waiting in an open batch are in flight: they
-  // are past credit accounting and committed to delivery.
-  fabric().AddInflight(1);
+  // Messages waiting in an open batch count as sent: they are past credit
+  // accounting and committed to delivery.
   if (!IsTermControl(body)) {
     ++data_sent_;
   }
@@ -115,24 +112,29 @@ void LiveTransport::Endpoint::DeliverBatch(NodeId to, WireBatch batch) {
   fabric().Deliver(to, std::move(batch), &batch_pool_);
 }
 
+void LiveTransport::Endpoint::FlushBatchesNow() {
+  ShipOpenBatches(FlushCause::kBoundary, /*hold=*/false);
+}
+
 void LiveTransport::Endpoint::FlushBatches(FlushCause cause) {
-  const bool by_deadline =
-      cause == FlushCause::kBoundary && coalescer_.deadline_enabled();
+  ShipOpenBatches(cause, cause == FlushCause::kBoundary && coalescer_.deadline_enabled());
+}
+
+void LiveTransport::Endpoint::ShipOpenBatches(FlushCause cause, bool hold) {
   // One clock read per flush pass, not one per peer: this runs every
   // run-loop iteration on the hot path.
-  const std::uint64_t now = by_deadline ? coalescer_.now_ns() : 0;
+  const std::uint64_t now = hold ? coalescer_.now_ns() : 0;
   for (int j = 0; j < transport_->config_.num_nodes; ++j) {
     const auto to = static_cast<NodeId>(j);
     if (j == self_ || coalescer_.empty(to)) {
       continue;
     }
-    if (by_deadline) {
+    if (hold) {
       // Deadline policy: the op boundary only ships batches that have been
       // held long enough; younger sub-cap batches keep accumulating.
-      if (!coalescer_.DeadlineExpired(to, now)) {
-        continue;
+      if (coalescer_.DeadlineExpired(to, now)) {
+        DeliverBatch(to, TakeBatch(to, FlushCause::kDeadline));
       }
-      DeliverBatch(to, TakeBatch(to, FlushCause::kDeadline));
       continue;
     }
     DeliverBatch(to, TakeBatch(to, cause));

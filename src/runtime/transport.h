@@ -34,11 +34,10 @@
 //    the requester's session window, one probe per round), so they bypass
 //    the pool — exactly the sim's RackNode::SendAck.
 //
-// inflight() likewise counts MESSAGES — from the moment one enters an open
-// batch (committed to delivery) until its receive handler completes — so the
-// rack's drain-phase exit condition is unchanged by batching.  Ranked socket
-// racks, where the counter cannot span hosts, terminate via the counting
-// protocol in control_messages.h instead (fabric.h: InflightIsGlobal).
+// The termination counters likewise count MESSAGES: data_sent() counts one
+// when it enters an open batch (committed to delivery), data_processed() when
+// its receive handler completes — so the four-counter drain protocol
+// (control_messages.h) is unchanged by batching.
 
 #ifndef CCKVS_RUNTIME_TRANSPORT_H_
 #define CCKVS_RUNTIME_TRANSPORT_H_
@@ -153,13 +152,12 @@ class LiveTransport {
             ++credit_updates_owed_[batch.src];
             ++credit_returns_;
           }
+          // A collapsed update may still be held by the demux here; it is
+          // applied before Poll returns, and termination statuses read this
+          // counter only between polls.
           if (!IsTermControl(body)) {
             ++data_processed_;
           }
-          // A collapsed update may still be held by the demux here; it is
-          // applied before Poll returns, and updates trigger no sends, so a
-          // racing drain-phase inflight()==0 observation stays sound.
-          fabric().SubInflight(1);
           ++processed;
         }
       }
@@ -179,8 +177,15 @@ class LiveTransport {
     }
 
     // Ships every open batch (the host's op-boundary flush, or a test's
-    // explicit policy).  Owning node's thread only.
+    // explicit policy).  Under Config::coalesce_flush_deadline_us a kBoundary
+    // flush ships only the batches whose hold expired.  Owning node's thread
+    // only.
     void FlushBatches(FlushCause cause);
+
+    // Ships every open batch at once, held or not, counted as boundary
+    // flushes: a node's last flush before it stops pumping, which no later
+    // wakeup would ship.  Owning node's thread only.
+    void FlushBatchesNow();
 
     // Retries credit-parked broadcasts after harvesting returned credits.
     void FlushPending();
@@ -188,6 +193,12 @@ class LiveTransport {
     // True when every peer has at least one broadcast credit (the SC write
     // throttle point, as in RackNode::AllPeersHaveBcastCredit).
     bool AllPeersHaveCredit();
+
+    // Broadcast credits held for `peer`, after harvesting its returns.
+    int credits(NodeId peer) {
+      HarvestCredits(peer);
+      return bcast_credits_.available(peer);
+    }
 
     // True when no broadcast is parked waiting for credits and no message
     // sits in an open batch.
@@ -233,10 +244,13 @@ class LiveTransport {
     TransportFabric& fabric() const { return *transport_->fabric_; }
     void SendCredited(NodeId to, WireBody body);
     void HarvestCredits(NodeId peer);
-    // Commits one message to delivery: counts it in flight, appends it to the
+    // Commits one message to delivery: counts it as sent, appends it to the
     // peer's open batch, and ships the batch if it hit the size cap.
     void Enqueue(NodeId to, WireBody body);
     void DeliverBatch(NodeId to, WireBatch batch);
+    // Ships each open batch as a `cause` flush; with `hold`, only those whose
+    // deadline expired, as kDeadline flushes.
+    void ShipOpenBatches(FlushCause cause, bool hold);
     // Closes the open batch for `to`, first reclaiming released batches from
     // the fabric when the free list has run dry.
     WireBatch TakeBatch(NodeId to, FlushCause cause);
@@ -248,7 +262,6 @@ class LiveTransport {
     // every steady-state send.  Typed sends are never Term* control traffic.
     template <typename T>
     void EnqueueTyped(NodeId to, const T& msg) {
-      fabric().AddInflight(1);
       ++data_sent_;
       if (coalescer_.AppendTyped(to, msg)) {
         DeliverBatch(to, TakeBatch(to, FlushCause::kSize));
@@ -308,13 +321,6 @@ class LiveTransport {
 
   TransportFabric& fabric() { return *fabric_; }
   const TransportFabric& fabric() const { return *fabric_; }
-
-  // Messages enqueued but not yet fully processed (handler completed).  Zero
-  // together with all-nodes-quiescent means the rack can produce no further
-  // work — the drain-phase exit condition.  Counts messages (including those
-  // in open send batches), never batches.  Rack-global unless the fabric says
-  // otherwise (ranked socket racks use the counting protocol instead).
-  std::uint64_t inflight() const { return fabric_->inflight(); }
 
  private:
   Config config_;

@@ -344,6 +344,40 @@ TEST(LiveRackTest, L1TailUnderEpochChurnStaysConsistent) {
   }
 }
 
+// The drain under the traffic that used to strand it: online epochs keep
+// announcing while nodes halt, and a three-credit pool makes a halted node's
+// broadcasts park behind credits.  A node holding parked sends is not done,
+// so the rack must keep pumping until they are delivered; every seed must
+// return with checker-clean histories.
+TEST(LiveRackTest, DrainWithParkedSendsUnderEpochDrift) {
+  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+    LiveRackParams p = StressParams(ConsistencyModel::kSc);
+    p.workload.keyspace = 8'192;
+    p.workload.write_ratio = 0.05;
+    p.workload.drift_period_ops = 10'000;
+    p.workload.drift_rank_shift = 100;
+    p.cache_capacity = 256;
+    p.window_per_node = 32;
+    p.coalescing = true;
+    p.prefill_hot_set = false;
+    p.online_topk = true;
+    p.topk_epoch_requests = 2'000;
+    p.topk_sample_probability = 1.0;
+    p.bcast_credits_per_peer = 3;
+    p.credit_update_batch = 2;
+    p.ops_per_node = OpsPerNode(30'000, 5'000);
+    p.seed = seed;
+    LiveRack rack(p);
+    const LiveReport r = rack.Run();
+    ExpectHealthyRun(p, r);
+    EXPECT_GT(r.rack.epochs, 1u) << "seed " << seed;
+    EXPECT_GT(r.credit_parks, 0u) << "seed " << seed << ": no send ever parked";
+    EXPECT_EQ(rack.history().size(), r.completed) << "seed " << seed;
+    EXPECT_EQ(rack.history().CheckPerKeySequentialConsistency(), "") << "seed " << seed;
+    EXPECT_EQ(rack.history().CheckWriteAtomicity(), "") << "seed " << seed;
+  }
+}
+
 // The cooperative stop token halts issuing early but still drains to global
 // quiescence, so the sealed history stays checker-clean.
 TEST(LiveRackTest, EarlyStopStillSealsHistories) {

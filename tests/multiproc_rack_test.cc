@@ -87,19 +87,32 @@ std::string ArtifactPath(const std::string& run_tag, int rank) {
          std::to_string(rank) + ".bin";
 }
 
+// What a run adds to the base params.
+enum class Extra {
+  kNone,
+  // Node-private L1 tail in every rank, with per-node rank skew so each
+  // process actually fills its private tier.  The blob carries the L1 knobs
+  // to the child ranks; the merged histories must stay as checker-clean as
+  // without the L1.
+  kL1Tail,
+  // Coalescing with a 20 µs flush deadline: boundary flushes hold sub-cap
+  // batches, so the halt that ends the run must ship at once or the peers
+  // probe forever.
+  kDeadlineFlush,
+};
+
 // Spawns ranks 1..3 as child processes, runs rank 0 in-process, merges all
 // histories and runs the full checkers.
 void RunAndCertify(TransportKind kind, ConsistencyModel model,
-                   const std::string& run_tag, bool with_l1 = false) {
+                   const std::string& run_tag, Extra extra = Extra::kNone) {
   LiveRackParams params = MultiprocParams(kind, model, run_tag);
-  if (with_l1) {
-    // Node-private L1 tail in every rank, with per-node rank skew so each
-    // process actually fills its private tier.  The blob carries the L1
-    // knobs to the child ranks; the merged histories must stay as
-    // checker-clean as without the L1.
+  if (extra == Extra::kL1Tail) {
     params.l1_capacity = 128;
     params.l1_policy = L1Policy::kLru;
     params.workload.node_rank_stride = 512;
+  } else if (extra == Extra::kDeadlineFlush) {
+    params.coalescing = true;
+    params.coalesce_flush_deadline_us = 20;
   }
 
   std::vector<pid_t> children;
@@ -169,12 +182,17 @@ TEST(MultiprocRack, ShmFourRanksScUnderEpochsAndDrift) {
 
 TEST(MultiprocRack, ShmFourRanksScWithL1Tail) {
   RunAndCertify(TransportKind::kShm, ConsistencyModel::kSc, "shm_sc_l1",
-                /*with_l1=*/true);
+                Extra::kL1Tail);
 }
 
 TEST(MultiprocRack, ShmFourRanksLinWithL1Tail) {
   RunAndCertify(TransportKind::kShm, ConsistencyModel::kLin, "shm_lin_l1",
-                /*with_l1=*/true);
+                Extra::kL1Tail);
+}
+
+TEST(MultiprocRack, ShmFourRanksScWithDeadlineFlush) {
+  RunAndCertify(TransportKind::kShm, ConsistencyModel::kSc, "shm_sc_deadline",
+                Extra::kDeadlineFlush);
 }
 
 TEST(MultiprocRack, SocketFourRanksLinUnderEpochsAndDrift) {

@@ -9,7 +9,8 @@
 //     (a parked broadcast may not be overtaken by a later send to the peer);
 //   * exact per-message credit accounting (§6.3 counts messages, never
 //     batches, and every credit comes back);
-//   * message-granular inflight() that drains to zero;
+//   * message-granular data_sent()/data_processed() counters whose sums meet
+//     once everything drains (the four-counter termination protocol);
 //   * idle- and deadline-flush backstops (no message sleeps in an open batch);
 //   * wakeup-once-per-batch (wakeups ≤ batches pushed; zero without parking);
 //   * batch ownership: drained batches return to their owner's free list.
@@ -179,29 +180,43 @@ TEST_P(ConformanceTest, ExactPerMessageCreditAccounting) {
     sender.FlushBatches(FlushCause::kBoundary);
     ASSERT_EQ(CollectKeys(receiver, 4).size(), 4u);
     // credit_update_batch = 2: 4 drained messages return credits in two
-    // batched updates; the pool refills completely (async for sockets).
-    ASSERT_TRUE(Eventually([&] { return sender.AllPeersHaveCredit(); }));
+    // batched updates; the pool refills completely.  Sockets return them as
+    // two async frames, so wait for the whole pool — after only the first,
+    // the next round would park half its broadcasts.
+    ASSERT_TRUE(Eventually([&] { return sender.credits(1) == 4; }));
+    EXPECT_TRUE(sender.AllPeersHaveCredit());
   }
   EXPECT_EQ(receiver.credit_returns(), 4u);  // 8 messages / batch of 2
   EXPECT_EQ(sender.credit_parks(), 0u);
 }
 
-// inflight() counts messages — not batches — and drains to exactly zero.
-TEST_P(ConformanceTest, InflightIsMessageGranular) {
+// The termination counters count messages — not batches — leave Term*
+// control traffic out, and their rack-wide sums meet once everything drains.
+TEST_P(ConformanceTest, DataCountersAreMessageGranular) {
   LiveTransport t(Cfg(3, /*coalescing=*/true, /*max_batch=*/8));
   ASSERT_TRUE(t.ok()) << t.init_error();
   auto& sender = t.endpoint(0);
+  const auto processed = [&t] {
+    return t.endpoint(0).data_processed() + t.endpoint(1).data_processed() +
+           t.endpoint(2).data_processed();
+  };
 
   sender.BroadcastUpdate(Upd(1, 1));  // 2 messages (one per peer)
   sender.SendAck(1, AckMsg{42, Timestamp{1, 0}});
-  EXPECT_EQ(t.inflight(), 3u);  // counted while still in open batches
+  EXPECT_EQ(sender.data_sent(), 3u);  // counted while still in open batches
+  sender.SendDirect(1, WireBody{TermProbeMsg{1}});
+  EXPECT_EQ(sender.data_sent(), 3u);  // Term* traffic is not data
   sender.FlushBatches(FlushCause::kBoundary);
-  EXPECT_EQ(t.inflight(), 3u);  // shipping does not complete a message
+  EXPECT_EQ(sender.data_sent(), 3u);
+  EXPECT_EQ(processed(), 0u);  // shipping does not complete a message
 
   ASSERT_EQ(CollectKeys(t.endpoint(1), 2).size(), 2u);
-  ASSERT_TRUE(Eventually([&] { return t.inflight() == 1u; }));
+  // The probe shares the batch with the update and the ack; it is polled but
+  // not counted.
+  EXPECT_EQ(t.endpoint(1).messages_received(), 3u);
+  EXPECT_EQ(processed(), 2u);
   ASSERT_EQ(CollectKeys(t.endpoint(2), 1).size(), 1u);
-  ASSERT_TRUE(Eventually([&] { return t.inflight() == 0u; }));
+  EXPECT_EQ(processed(), sender.data_sent());
 }
 
 // The pre-sleep idle flush: a message in an open batch must ship before the
@@ -321,6 +336,7 @@ TEST_P(ConformanceTest, BatchesReturnToTheirOwner) {
   constexpr int kBatches = 4000;
   constexpr int kWarmup = 1000;
   std::atomic<int> senders_done{0};
+  std::atomic<std::uint64_t> sent[2] = {0, 0};
   std::uint64_t allocs[2] = {0, 0};
   std::uint64_t received[2] = {0, 0};
   const auto pump = [&](NodeId self) {
@@ -350,8 +366,11 @@ TEST_P(ConformanceTest, BatchesReturnToTheirOwner) {
     }
     alloc::DisableThread();
     allocs[self] = alloc::ThreadCount();
+    // Drain until this endpoint has processed every data message its peer
+    // sent: with two endpoints, the sent and processed sums then meet.
+    sent[self].store(ep.data_sent());
     senders_done.fetch_add(1);
-    while (senders_done.load() < 2 || t.inflight() > 0) {
+    while (senders_done.load() < 2 || ep.data_processed() < sent[1 - self].load()) {
       poll();
     }
   };

@@ -4,10 +4,11 @@
 // must not disturb: per-peer FIFO order across batch boundaries (the Lin
 // invalidation-then-update order and the install barrier both ride it),
 // per-message credit accounting (§6.3's bounds are about messages, not
-// packets), and a message-granular inflight() (the drain-phase exit
-// condition).  These tests drive endpoints directly from one thread — the
-// owning-thread contract only requires that calls are serialized, so a
-// single test thread may play every node in turn.
+// packets), and message-granular data_sent()/data_processed() counters (the
+// sums the four-counter drain protocol balances).  These tests drive
+// endpoints directly from one thread — the owning-thread contract only
+// requires that calls are serialized, so a single test thread may play every
+// node in turn.
 
 #include <chrono>
 #include <string>
@@ -43,6 +44,18 @@ struct Drained {
   std::vector<Timestamp> update_ts;
   std::size_t messages = 0;
 };
+
+// Data messages sent but not yet processed, summed over every endpoint: the
+// balance the termination protocol (control_messages.h) waits to see at 0.
+std::uint64_t Unprocessed(LiveTransport& t) {
+  std::uint64_t sent = 0;
+  std::uint64_t processed = 0;
+  for (int i = 0; i < t.config().num_nodes; ++i) {
+    sent += t.endpoint(static_cast<NodeId>(i)).data_sent();
+    processed += t.endpoint(static_cast<NodeId>(i)).data_processed();
+  }
+  return sent - processed;
+}
 
 Drained DrainAll(LiveTransport::Endpoint& ep) {
   Drained d;
@@ -151,7 +164,7 @@ TEST(TransportBatchingTest, PerPeerFifoAcrossBatchBoundaries) {
     EXPECT_LT(seen[i - 1], seen[i]);
   }
   EXPECT_EQ(seen.back().clock, 10u);
-  EXPECT_EQ(t.inflight(), 0u);
+  EXPECT_EQ(Unprocessed(t), 0u);
 }
 
 TEST(TransportBatchingTest, DistinctKeysDeliverOneToOneInOrder) {
@@ -181,7 +194,7 @@ TEST(TransportBatchingTest, DistinctKeysDeliverOneToOneInOrder) {
   const Drained d = DrainAll(ep1);
   seen.insert(seen.end(), d.keys.begin(), d.keys.end());
   EXPECT_EQ(seen, sent);
-  EXPECT_EQ(t.inflight(), 0u);
+  EXPECT_EQ(Unprocessed(t), 0u);
 }
 
 // --------------------------------------------------------------------------
@@ -221,7 +234,7 @@ TEST(TransportBatchingTest, CreditAccountingExactUnderBatchedDelivery) {
   EXPECT_EQ(DrainAll(ep1).messages, 1u);
   // 4 - 5 spent + 4 returned = 3 available.
   EXPECT_TRUE(ep0.AllPeersHaveCredit());
-  EXPECT_EQ(t.inflight(), 0u);
+  EXPECT_EQ(Unprocessed(t), 0u);
 }
 
 TEST(TransportBatchingTest, AcksBypassCreditsButStillCoalesce) {
@@ -242,27 +255,32 @@ TEST(TransportBatchingTest, AcksBypassCreditsButStillCoalesce) {
 }
 
 // --------------------------------------------------------------------------
-// inflight() counts messages, never batches
+// The termination counters count messages, never batches
 // --------------------------------------------------------------------------
 
-TEST(TransportBatchingTest, InflightCountsMessagesThroughBatchLifecycle) {
+TEST(TransportBatchingTest, DataCountersCountMessagesThroughBatchLifecycle) {
   LiveTransport t(SmallConfig(3, /*coalescing=*/true, /*max_batch=*/8));
   auto& ep0 = t.endpoint(0);
 
   // Broadcast to two peers: 2 messages per call, still in open batches.
   ep0.BroadcastUpdate(Upd(400, 1));
   ep0.BroadcastUpdate(Upd(401, 2));
-  EXPECT_EQ(t.inflight(), 4u) << "open-batch messages are in flight";
+  EXPECT_EQ(ep0.data_sent(), 4u) << "open-batch messages count as sent";
+  EXPECT_EQ(Unprocessed(t), 4u);
   EXPECT_FALSE(ep0.NothingPending());
+  // Termination control rides the same lanes but is not data.
+  ep0.SendDirect(1, WireBody{TermProbeMsg{1}});
+  EXPECT_EQ(ep0.data_sent(), 4u) << "Term* traffic is excluded";
 
   ep0.FlushBatches(FlushCause::kBoundary);
-  EXPECT_EQ(t.inflight(), 4u) << "shipping a batch must not change the count";
+  EXPECT_EQ(Unprocessed(t), 4u) << "shipping a batch must not change the count";
   EXPECT_TRUE(ep0.NothingPending());
 
-  EXPECT_EQ(DrainAll(t.endpoint(1)).messages, 2u);
-  EXPECT_EQ(t.inflight(), 2u);
+  EXPECT_EQ(DrainAll(t.endpoint(1)).messages, 3u);  // two updates + the probe
+  EXPECT_EQ(t.endpoint(1).data_processed(), 2u) << "Term* traffic is excluded";
+  EXPECT_EQ(Unprocessed(t), 2u);
   EXPECT_EQ(DrainAll(t.endpoint(2)).messages, 2u);
-  EXPECT_EQ(t.inflight(), 0u) << "drain-phase exit condition";
+  EXPECT_EQ(Unprocessed(t), 0u) << "the sums meet once everything is drained";
 }
 
 // --------------------------------------------------------------------------
@@ -281,7 +299,7 @@ TEST(TransportBatchingTest, WaitForTrafficFlushesOpenBatches) {
   EXPECT_EQ(ep1.batches_received(), 1u);
   EXPECT_EQ(ep0.coalescer().flushes(FlushCause::kIdle), 1u);
   EXPECT_EQ(DrainAll(ep1).messages, 1u);
-  EXPECT_EQ(t.inflight(), 0u);
+  EXPECT_EQ(Unprocessed(t), 0u);
 }
 
 // --------------------------------------------------------------------------
@@ -305,7 +323,7 @@ TEST(TransportBatchingTest, ConsecutiveSameKeyUpdatesCollapseToNewest) {
   EXPECT_EQ(d.keys, (std::vector<Key>{600, 601}));
   EXPECT_EQ(d.update_ts[0].clock, 3u) << "a run forwards its newest element";
   EXPECT_EQ(ep1.updates_collapsed(), 2u);
-  EXPECT_EQ(t.inflight(), 0u);
+  EXPECT_EQ(Unprocessed(t), 0u);
 }
 
 TEST(TransportBatchingTest, NonUpdateMessagesEndARunInOrder) {
@@ -428,6 +446,29 @@ TEST(TransportBatchingTest, BoundaryFlushHoldsSubCapBatchesUntilDeadline) {
   ASSERT_EQ(d.keys.size(), 2u);
   EXPECT_EQ(d.keys[0], 5u);
   EXPECT_EQ(d.keys[1], 9u) << "FIFO preserved through the hold";
+}
+
+// A node's last flush before it stops pumping (the termination halt) must
+// not be held: no later wakeup would ship it.
+TEST(TransportBatchingTest, FlushBatchesNowIgnoresTheDeadlineHold) {
+  std::uint64_t now = 0;
+  LiveTransport::Config c = SmallConfig(3, /*coalescing=*/true, /*max_batch=*/8);
+  c.coalesce_flush_deadline_us = 1'000'000;  // effectively infinite
+  c.clock_ns = [&now] { return now; };
+  LiveTransport t(c);
+  auto& ep0 = t.endpoint(0);
+
+  ep0.BroadcastUpdate(Upd(7, 1));
+  ep0.FlushBatches(FlushCause::kBoundary);  // young: held
+  EXPECT_FALSE(ep0.NothingPending());
+  ep0.FlushBatchesNow();
+  EXPECT_TRUE(ep0.NothingPending());
+  EXPECT_EQ(t.endpoint(1).batches_received(), 1u);
+  EXPECT_EQ(t.endpoint(2).batches_received(), 1u);
+  EXPECT_EQ(ep0.coalescer().flushes(FlushCause::kBoundary), 2u) << "one per peer";
+  EXPECT_EQ(ep0.coalescer().flushes(FlushCause::kDeadline), 0u);
+  EXPECT_EQ(DrainAll(t.endpoint(1)).messages, 1u);
+  EXPECT_EQ(DrainAll(t.endpoint(2)).messages, 1u);
 }
 
 TEST(TransportBatchingTest, SizeCapStillShipsImmediatelyUnderDeadline) {
