@@ -1,17 +1,12 @@
-// Live rack vs. simulator: measured Mops/s on real threads next to the
-// discrete-event prediction for the same configuration — now with the
+// Live rack throughput: measured Mops/s on real threads, swept over the
 // transport-coalescing axis (§8.5's live analogue, runtime/coalescer.h).
 //
-// The two numbers answer different questions and are NOT expected to match:
-// the simulator models a 9-node RDMA rack (54 Gb/s links, NIC and CPU service
-// times), while the live rack executes the same store/cache/protocol code
-// in-process, where "the network" is a memory channel.  What should line up
-// is structure: hit rates agree (same workload, same hot set), SC outruns Lin
-// (no invalidation round-trip), consistency-message ratios match the
-// protocol, and coalescing helps both fabrics — the sim by amortizing packet
-// headers, the live rack by amortizing channel pushes and receiver wakeups.
-// Divergence in those shapes — not in absolute Mops — is the regression
-// signal; the bench-smoke JSON artifact tracks both PR-to-PR.
+// The live rack executes the store/cache/protocol code with "the network" a
+// memory channel, a shared-memory ring or a socket.  What should hold is
+// structure: SC outruns Lin (no invalidation round-trip), consistency-message
+// counts are proportional to writes, and coalescing amortizes channel pushes
+// and receiver wakeups.  Divergence in those shapes — not in absolute Mops —
+// is the regression signal; the bench-smoke JSON artifact tracks it PR-to-PR.
 //
 // Flags (besides the bench_util.h standard --smoke/--json=PATH):
 //   --coalescing=off|on|both   restrict the live sweep to one coalescing
@@ -200,7 +195,7 @@ int main(int argc, char** argv) {
   std::printf("Live rack, %d nodes, 1M keys, 0.1%% cache, 5%% writes, window 32, "
               "transport=%s%s%s\n", kNodes, transport_name,
               pin ? " pinned" : "", busy_poll ? " busy-poll" : "");
-  std::printf("(sim prediction: 9-node RDMA rack at the same workload)\n\n");
+  std::printf("\n");
   std::printf("%-8s %-6s %12s %10s %10s %10s %10s %10s\n", "model", "coal",
               "live Mops/s", "hit%", "msgs", "batches", "avg B", "wakeups");
 
@@ -232,32 +227,6 @@ int main(int argc, char** argv) {
                   static_cast<unsigned long long>(lr.wakeups));
     }
     ++mi;
-  }
-
-  PrintHeaderRule();
-  std::printf("sim prediction at the same workload (9 nodes, coalescing on/off):\n");
-  std::printf("%-8s %-6s %12s %10s\n", "model", "coal", "sim MRPS", "hit%");
-  for (const ConsistencyModel model :
-       {ConsistencyModel::kSc, ConsistencyModel::kLin}) {
-    for (const bool coalesce : {false, true}) {
-      if ((coalesce && !run_on) || (!coalesce && !run_off)) {
-        continue;  // keep the CI artifacts disjoint: one sim config per flag
-      }
-      RackParams sp;
-      sp.kind = SystemKind::kCcKvs;
-      sp.consistency = model;
-      sp.num_nodes = 9;
-      sp.workload.keyspace = 1'000'000;
-      sp.workload.zipf_alpha = 0.99;
-      sp.workload.write_ratio = 0.05;
-      sp.workload.value_bytes = 40;
-      sp.cache_capacity = 1'000;
-      sp.coalescing = coalesce;
-      sp.seed = 42;
-      const RackReport sr = RunRack(sp, coalesce ? "coalescing=on" : "coalescing=off");
-      std::printf("%-8s %-6s %12.2f %9.1f%%\n", ToString(model),
-                  coalesce ? "on" : "off", sr.mrps, 100.0 * sr.hit_rate);
-    }
   }
 
   if (run_on) {
@@ -511,12 +480,12 @@ int main(int argc, char** argv) {
 
   PrintHeaderRule();
   if (run_off && run_on) {
-    std::printf("coalescing speedup: SC %.2fx, Lin %.2fx (sim predicts both gain;\n"
-                "live gain comes from push/wakeup amortization, not headers)\n",
+    std::printf("coalescing speedup: SC %.2fx, Lin %.2fx (push/wakeup "
+                "amortization)\n",
                 mops[0][0] > 0 ? mops[0][1] / mops[0][0] : 0.0,
                 mops[1][0] > 0 ? mops[1][1] / mops[1][0] : 0.0);
   }
-  std::printf("structure checks: SC > Lin live throughput, hit rates within a few\n"
-              "points of the sim, updates+invalidations proportional to writes.\n");
+  std::printf("structure checks: SC > Lin live throughput, updates+invalidations\n"
+              "proportional to writes.\n");
   return 0;
 }

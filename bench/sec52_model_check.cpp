@@ -4,15 +4,16 @@
 // The paper expressed its Lin protocol in Murphi and verified safety (the
 // single-writer-multiple-reader and data-value invariants) and deadlock freedom
 // with 3 processors, 2 addresses and 2-bit timestamps.  This bench runs our
-// checker — which explores every interleaving of the *production* LinEngine —
-// at and beyond that scale, and prints the explored state-space size.
+// checker — which explores every interleaving of the *production* NodeCore and
+// the LinEngine inside it — at and beyond that scale, and prints the explored state-space size.
 // (Per-key protocols make keys independent, so one key covers the 2-address
 // Murphi configuration; see tests/verify_test.cc.)
 //
 // The second table extends the method to epoch transitions: announce, fill,
 // write-back, gated direct-shard ops and the install barrier, all against the
-// production engines + store::Partition + topk::HotSetManager (the same
-// HotSetHost hooks both the simulator and the live rack drive).  Zero
+// production NodeCore (engine, cache, topk::HotSetManager) over
+// store::Partition shards, through the same HotSetHost hooks both the
+// simulator and the live rack drive.  Zero
 // violations and zero deadlocks across every interleaving of one epoch change
 // is the §5.2 claim applied to the transition itself.
 //

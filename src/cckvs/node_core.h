@@ -1,16 +1,16 @@
-// The per-node ccKVS machine both racks run (§4-§5): the symmetric cache with
-// its per-key SC/Lin coherence engine, the optional hot-set manager, and the
-// node-private L1 tail with its admission sketch.
+// The per-node ccKVS machine (§4-§5): the symmetric cache with its per-key
+// SC/Lin coherence engine, the optional hot-set manager, and the node-private
+// L1 tail with its admission sketch.
 //
-// RackNode (the discrete-event sim, cckvs/rack.cc) and LiveNode (the live
-// rack, runtime/live_node.cc) each own one NodeCore and call it directly, so
-// every rule that decides a per-key SC/Lin history is written once: the hit
-// path, completion bookkeeping (counts, the PUT's second-shot L1
-// invalidation, L1 admission), inbound protocol apply, and the shard hooks of
-// an epoch transition.  The hosts keep how work moves: sessions, clocks,
-// latency/history recording, tracing, CPU cost, transports and credits, the
-// miss path, gated parking and termination (docs/ARCHITECTURE.md, "Request
-// flow through a ccKVS node").
+// RackNode (the sim, cckvs/rack.cc), LiveNode (runtime/live_node.cc) and the
+// model checker (verify/model_checker.cc) each own one NodeCore per node and
+// call it directly, so every rule that decides a per-key SC/Lin history is
+// written once, and checked where it runs: the hit path, completion
+// bookkeeping (counts, the PUT's second-shot L1 invalidation, L1 admission),
+// inbound protocol apply, and the shard hooks of an epoch transition.  The
+// hosts keep how work moves: sessions, clocks, latency/history recording,
+// tracing, CPU cost, transports and credits, the miss path, gated parking and
+// termination (docs/ARCHITECTURE.md, "Request flow through a ccKVS node").
 //
 // Synchronous and single-threaded, like the engine it owns: every call runs
 // on the host's node thread.

@@ -48,8 +48,8 @@
 //   kInproc  — the batch object itself moves from sender to receiver.
 //              Release pushes it onto the lane's SPSC return ring (receiver
 //              produces, sender consumes), and the sender's Reclaim — called
-//              when its pool runs dry — moves everything returned back into
-//              its pool.
+//              on every poll and when its pool runs dry — moves everything
+//              returned back into its pool.
 //
 // A return ring that is full (a backstop the rings are sized never to reach)
 // hands the batch to the releasing thread's pool instead: ownership moves, but
@@ -170,7 +170,7 @@ class TransportFabric {
 
   // Moves self's batches that receivers have released back into *pool.  A
   // no-op where no batch crosses threads.  Owning thread of `self` only;
-  // endpoints call it when their pool runs dry.
+  // endpoints call it on every poll and when their pool runs dry.
   virtual void Reclaim(NodeId self, WireBatchPool* pool) {
     (void)self;
     (void)pool;

@@ -34,7 +34,6 @@ LiveTransport::Config TransportConfig(const LiveRackParams& p) {
   // (every batch carries ≥ 1 message), so the capacity above stays valid.
   c.coalescing = p.coalescing;
   c.coalesce_max_batch = p.coalesce_max_batch;
-  c.coalesce_flush_on_idle = p.coalesce_flush_on_idle;
   c.coalesce_flush_deadline_us = p.coalesce_flush_deadline_us;
   c.transport = p.transport;
   if (p.track_allocs) {
@@ -80,6 +79,9 @@ LiveRack::LiveRack(const LiveRackParams& params)
                        std::chrono::nanoseconds(params.clock_epoch_ns))
                  : std::chrono::steady_clock::now()) {
   CCKVS_CHECK_GE(params_.num_nodes, 2);
+  // Every live node runs the symmetric cache (NodeCore::PrefillHotSet needs it).
+  CCKVS_CHECK(params_.consistency == ConsistencyModel::kSc ||
+              params_.consistency == ConsistencyModel::kLin);
   CCKVS_CHECK_GE(params_.window_per_node, 1);
   CCKVS_CHECK_GE(params_.workload.value_bytes, 13u);  // MakeWriteValue floor
   CCKVS_CHECK_LT(params_.transport.rank, params_.num_nodes);
@@ -166,7 +168,6 @@ LiveReport LiveRack::Run() {
     // One file per process: ranks sharing a host must not clobber each other.
     popts.csv_path += ".rank" + std::to_string(params_.transport.rank);
   }
-  popts.to_stderr = params_.profile_to_stderr;
   Profiler profiler(popts, &worker_counters_);
   if (params_.profile) {
     profiler.Start();

@@ -79,11 +79,10 @@ struct LiveRackParams {
 
   // Transport coalescing (§8.5 on the live fabric; runtime/coalescer.h):
   // same-destination messages share one channel push, flushed by size cap,
-  // op boundary, and (knob below) the pre-sleep idle backstop.  Credit
-  // accounting and the termination counters stay per-message either way.
+  // op boundary, and the pre-sleep idle backstop.  Credit accounting and the
+  // termination counters stay per-message either way.
   bool coalescing = false;
   int coalesce_max_batch = 16;       // mirrors RackParams::coalesce_max_batch
-  bool coalesce_flush_on_idle = true;
   // Hold sub-cap batches up to this many µs before an op-boundary flush ships
   // them (0 = flush every boundary, the pre-deadline behaviour); mirrors the
   // sim's coalesce_window_ns.  LiveReport::flushes_deadline counts the holds
@@ -122,7 +121,6 @@ struct LiveRackParams {
   bool profile = false;  // background thread samples WorkerCounters
   std::uint64_t profile_interval_ms = 1000;
   std::string profile_csv_path;   // non-empty: stream samples as CSV
-  bool profile_to_stderr = false; // mirror samples to stderr
 
   // --- distributed per-op tracing (runtime/tracing.h) ---
   // Non-empty: arm a per-node Tracer (sampled spans into a fixed ring, no

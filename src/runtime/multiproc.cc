@@ -16,7 +16,7 @@ namespace {
 
 // Bump when the blob layout changes; decode rejects mismatches outright
 // (mixed-version racks would disagree on protocol parameters anyway).
-constexpr std::uint8_t kParamsVersion = 4;  // v4: L1 tail + per-node rank skew
+constexpr std::uint8_t kParamsVersion = 5;  // v5: idle-flush/stderr knobs gone
 constexpr std::uint64_t kArtifactsMagic = 0x63634b565241'01ull;  // "ccKVRA" v1
 
 std::uint64_t DoubleBits(double d) {
@@ -112,7 +112,6 @@ std::string EncodeRackParams(const LiveRackParams& p) {
   w.PutU32(static_cast<std::uint32_t>(p.credit_update_batch));
   w.PutU8(p.coalescing ? 1 : 0);
   w.PutU32(static_cast<std::uint32_t>(p.coalesce_max_batch));
-  w.PutU8(p.coalesce_flush_on_idle ? 1 : 0);
   w.PutU64(p.coalesce_flush_deadline_us);
   w.PutU8(p.prefill_hot_set ? 1 : 0);
   w.PutU8(p.online_topk ? 1 : 0);
@@ -136,7 +135,6 @@ std::string EncodeRackParams(const LiveRackParams& p) {
   w.PutU8(p.profile ? 1 : 0);
   w.PutU64(p.profile_interval_ms);
   w.PutString(p.profile_csv_path);
-  w.PutU8(p.profile_to_stderr ? 1 : 0);
   w.PutU8(p.track_allocs ? 1 : 0);
   w.PutU8(p.alloc_assert ? 1 : 0);
   w.PutU8(p.prefill_store ? 1 : 0);
@@ -167,7 +165,10 @@ bool DecodeRackParams(const std::string& hex, LiveRackParams* out, std::string* 
   std::uint8_t u8 = 0;
   const bool ok =
       r.GetU32(&u32) && ((p.num_nodes = static_cast<int>(u32)), true) &&
-      r.GetU8(&u8) && ((p.consistency = static_cast<ConsistencyModel>(u8)), true) &&
+      r.GetU8(&u8) &&  // a live rack always runs a cache: SC or Lin
+      (u8 == static_cast<std::uint8_t>(ConsistencyModel::kSc) ||
+       u8 == static_cast<std::uint8_t>(ConsistencyModel::kLin)) &&
+      ((p.consistency = static_cast<ConsistencyModel>(u8)), true) &&
       r.GetU64(&p.workload.keyspace) &&
       r.GetU64(&u64) && ((p.workload.zipf_alpha = BitsDouble(u64)), true) &&
       r.GetU64(&u64) && ((p.workload.write_ratio = BitsDouble(u64)), true) &&
@@ -182,7 +183,6 @@ bool DecodeRackParams(const std::string& hex, LiveRackParams* out, std::string* 
       r.GetU32(&u32) && ((p.credit_update_batch = static_cast<int>(u32)), true) &&
       r.GetU8(&u8) && ((p.coalescing = u8 != 0), true) &&
       r.GetU32(&u32) && ((p.coalesce_max_batch = static_cast<int>(u32)), true) &&
-      r.GetU8(&u8) && ((p.coalesce_flush_on_idle = u8 != 0), true) &&
       r.GetU64(&p.coalesce_flush_deadline_us) &&
       r.GetU8(&u8) && ((p.prefill_hot_set = u8 != 0), true) &&
       r.GetU8(&u8) && ((p.online_topk = u8 != 0), true) &&
@@ -191,7 +191,8 @@ bool DecodeRackParams(const std::string& hex, LiveRackParams* out, std::string* 
       r.GetU8(&u8) && ((p.topk_adaptive_epochs = u8 != 0), true) &&
       r.GetU8(&u8) && ((p.record_history = u8 != 0), true) &&
       r.GetU64(&p.seed) &&
-      r.GetU8(&u8) && ((p.transport.kind = static_cast<TransportKind>(u8)), true) &&
+      r.GetU8(&u8) && u8 <= static_cast<std::uint8_t>(TransportKind::kSocket) &&
+      ((p.transport.kind = static_cast<TransportKind>(u8)), true) &&
       r.GetU32(&u32) && ((p.transport.rank = static_cast<int>(u32)), true) &&
       r.GetString(&p.transport.shm_name) &&
       r.GetU64(&u64) && ((p.transport.shm_ring_bytes = u64), true) &&
@@ -206,7 +207,6 @@ bool DecodeRackParams(const std::string& hex, LiveRackParams* out, std::string* 
       r.GetU8(&u8) && ((p.profile = u8 != 0), true) &&
       r.GetU64(&p.profile_interval_ms) &&
       r.GetString(&p.profile_csv_path) &&
-      r.GetU8(&u8) && ((p.profile_to_stderr = u8 != 0), true) &&
       r.GetU8(&u8) && ((p.track_allocs = u8 != 0), true) &&
       r.GetU8(&u8) && ((p.alloc_assert = u8 != 0), true) &&
       r.GetU8(&u8) && ((p.prefill_store = u8 != 0), true) &&
@@ -217,6 +217,11 @@ bool DecodeRackParams(const std::string& hex, LiveRackParams* out, std::string* 
       r.GetU64(&p.workload.node_rank_stride) && r.AtEnd();
   if (!ok) {
     *error = "rack params blob truncated or malformed";
+    return false;
+  }
+  // Enums are range-checked as read, the geometry here: never abort mid-build.
+  if (p.num_nodes < 2 || p.transport.rank >= p.num_nodes) {
+    *error = "rack params blob has an impossible node count or rank";
     return false;
   }
   *out = std::move(p);

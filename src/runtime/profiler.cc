@@ -57,9 +57,6 @@ void Profiler::Start() {
   if (csv_ != nullptr) {
     std::fprintf(csv_, "%s\n", ProfilerCsvHeader());
   }
-  if (options_.to_stderr) {
-    std::fprintf(stderr, "[profiler] %s\n", ProfilerCsvHeader());
-  }
   thread_ = std::thread([this] { Loop(); });
 }
 
@@ -129,33 +126,28 @@ void Profiler::SampleOnce(std::uint64_t ts_ms) {
 }
 
 void Profiler::Emit(const ProfilerSample& s) {
-  const auto row = [&](std::FILE* f, const char* prefix) {
-    std::fprintf(f,
-                 "%s%llu,%d,%llu,%llu,%llu,%llu,%llu,%llu,%llu,%llu,%llu,%llu,"
-                 "%llu,%llu,%llu,%llu,%llu\n",
-                 prefix, static_cast<unsigned long long>(s.ts_ms), s.node,
-                 static_cast<unsigned long long>(s.ops),
-                 static_cast<unsigned long long>(s.hits),
-                 static_cast<unsigned long long>(s.misses),
-                 static_cast<unsigned long long>(s.rpcs),
-                 static_cast<unsigned long long>(s.msgs_sent),
-                 static_cast<unsigned long long>(s.batches_sent),
-                 static_cast<unsigned long long>(s.flush_size),
-                 static_cast<unsigned long long>(s.flush_boundary),
-                 static_cast<unsigned long long>(s.flush_idle),
-                 static_cast<unsigned long long>(s.flush_deadline),
-                 static_cast<unsigned long long>(s.l1_hits),
-                 static_cast<unsigned long long>(s.l1_invalidations),
-                 static_cast<unsigned long long>(s.l1_fills),
-                 static_cast<unsigned long long>(s.allocs),
-                 static_cast<unsigned long long>(s.inbound_depth));
-  };
-  if (csv_ != nullptr) {
-    row(csv_, "");
+  if (csv_ == nullptr) {
+    return;
   }
-  if (options_.to_stderr) {
-    row(stderr, "[profiler] ");
-  }
+  std::fprintf(csv_,
+               "%llu,%d,%llu,%llu,%llu,%llu,%llu,%llu,%llu,%llu,%llu,%llu,"
+               "%llu,%llu,%llu,%llu,%llu\n",
+               static_cast<unsigned long long>(s.ts_ms), s.node,
+               static_cast<unsigned long long>(s.ops),
+               static_cast<unsigned long long>(s.hits),
+               static_cast<unsigned long long>(s.misses),
+               static_cast<unsigned long long>(s.rpcs),
+               static_cast<unsigned long long>(s.msgs_sent),
+               static_cast<unsigned long long>(s.batches_sent),
+               static_cast<unsigned long long>(s.flush_size),
+               static_cast<unsigned long long>(s.flush_boundary),
+               static_cast<unsigned long long>(s.flush_idle),
+               static_cast<unsigned long long>(s.flush_deadline),
+               static_cast<unsigned long long>(s.l1_hits),
+               static_cast<unsigned long long>(s.l1_invalidations),
+               static_cast<unsigned long long>(s.l1_fills),
+               static_cast<unsigned long long>(s.allocs),
+               static_cast<unsigned long long>(s.inbound_depth));
 }
 
 }  // namespace cckvs

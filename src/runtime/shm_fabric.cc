@@ -116,7 +116,7 @@ class ShmFabric final : public TransportFabric {
   ShmFabric(const FabricConfig& config, const TransportOptions& opts)
       : n_(config.num_nodes),
         ring_bytes_(opts.shm_ring_bytes),
-        creator_(opts.rank <= 0),
+        rank_(opts.rank),
         name_(opts.shm_name),
         tx_scratch_(static_cast<std::size_t>(config.num_nodes)),
         rx_scratch_(static_cast<std::size_t>(config.num_nodes)) {
@@ -138,14 +138,11 @@ class ShmFabric final : public TransportFabric {
     if (fd_ >= 0) {
       close(fd_);
     }
-    if (creator_ && mapped_) {
-      shm_unlink(name_.c_str());
-    }
   }
 
   bool Init(int timeout_ms, std::string* error) {
     size_ = TotalSize();
-    if (creator_) {
+    if (rank_ <= 0) {  // creator: rank 0 or all-in-one
       shm_unlink(name_.c_str());  // clear a stale region from a dead run
       fd_ = shm_open(name_.c_str(), O_CREAT | O_EXCL | O_RDWR, 0600);
       if (fd_ < 0) {
@@ -160,6 +157,9 @@ class ShmFabric final : public TransportFabric {
         return false;
       }
       InitRegion();
+      if (rank_ < 0) {
+        shm_unlink(name_.c_str());  // nobody else attaches
+      }
       return true;
     }
     // Joiner: the creator may not have called shm_open yet — retry until the
@@ -198,7 +198,10 @@ class ShmFabric final : public TransportFabric {
       *error = "shm region " + name_ + " has mismatched geometry";
       return false;
     }
-    header()->attached.fetch_add(1, std::memory_order_acq_rel);
+    if (header()->attached.fetch_add(1, std::memory_order_acq_rel) + 1 ==
+        static_cast<std::uint32_t>(n_)) {
+      shm_unlink(name_.c_str());  // the last rank is in: the name has no use left
+    }
     return true;
   }
 
@@ -411,7 +414,6 @@ class ShmFabric final : public TransportFabric {
       return false;
     }
     base_ = static_cast<std::uint8_t*>(p);
-    mapped_ = true;
     return true;
   }
 
@@ -451,12 +453,11 @@ class ShmFabric final : public TransportFabric {
 
   const int n_;
   const std::uint64_t ring_bytes_;
-  const bool creator_;
+  const int rank_;  // < 0: all-in-one
   const std::string name_;
   int fd_ = -1;
   std::size_t size_ = 0;
   std::uint8_t* base_ = nullptr;
-  bool mapped_ = false;
   std::atomic<bool> faulted_{false};
   mutable std::mutex error_mu_;
   std::string error_;

@@ -8,8 +8,9 @@
 // wakeup-once-per-batch is one doorbell signal per frame.
 //
 // The creator (rank 0, or the all-in-one process) initializes the region and
-// sets the ready flag; joiners attach and wait for it.  See shm_fabric.cc for
-// the layout and the lost-wakeup argument.
+// sets the ready flag; joiners attach and wait for it.  The name is unlinked
+// once every rank has attached, so a killed rack leaves nothing in /dev/shm.
+// See shm_fabric.cc for the layout and the lost-wakeup argument.
 
 #ifndef CCKVS_RUNTIME_SHM_FABRIC_H_
 #define CCKVS_RUNTIME_SHM_FABRIC_H_

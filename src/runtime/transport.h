@@ -78,10 +78,6 @@ class LiveTransport {
     // fabric deliveries.  Off = batch size 1 through the same code path.
     bool coalescing = false;
     int coalesce_max_batch = 16;
-    // Backstop: WaitForTraffic flushes open batches before sleeping.  The
-    // run loop's op-boundary flush normally ships everything first, so this
-    // firing (flushes_idle > 0) means a host skipped its boundary flushes.
-    bool coalesce_flush_on_idle = true;
     // Deadline-based flush, mirroring the sim's coalesce_window_ns: when > 0,
     // op-boundary flushes hold sub-cap batches until they have been open this
     // many microseconds (size-cap flushes still fire immediately), trading
@@ -140,6 +136,9 @@ class LiveTransport {
     template <typename Handler>
     std::size_t Poll(std::size_t max_batches, Handler&& handler) {
       scratch_.clear();
+      // Reclaim every poll: a full return lane hands our batches to the
+      // receiver, whose next update re-seats (allocates) a control-msg slot.
+      fabric().Reclaim(self_, &batch_pool_);
       fabric().Drain(self_, &scratch_, max_batches, &batch_pool_);
       UpdateRunDemux demux(&updates_collapsed_);
       std::size_t processed = 0;
@@ -205,8 +204,11 @@ class LiveTransport {
     bool NothingPending() const;
 
     // Sleeps until a batch arrives or `timeout` elapses (idle backoff).
-    // Flushes open batches first when Config::coalesce_flush_on_idle is set,
-    // so no message can sleep inside a batch buffer.
+    // Flushes open batches first (expired ones only under a flush deadline,
+    // which also caps the sleep), so no message can sleep inside a batch
+    // buffer.  The run loop's op-boundary flush normally ships everything
+    // first, so an idle flush (flushes_idle > 0) means a host skipped its
+    // boundary flushes.
     void WaitForTraffic(std::chrono::microseconds timeout);
 
     // The busy-poll counterpart of WaitForTraffic's pre-sleep flush: applies

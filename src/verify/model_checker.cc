@@ -5,23 +5,53 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <ostream>
 #include <sstream>
 #include <unordered_map>
 #include <unordered_set>
 #include <utility>
 
-#include "src/cache/symmetric_cache.h"
+#include "src/cckvs/node_core.h"
 #include "src/common/check.h"
-#include "src/protocol/engine.h"
 #include "src/store/partition.h"
-#include "src/topk/hot_set_host.h"
-#include "src/topk/hot_set_manager.h"
+#include "src/workload/workload.h"
 
 namespace cckvs {
 namespace {
 
+// Initial values are the production synthesizer's, one byte wide: narrow
+// values keep the canonical encodings (the visited set's keys) short.
+constexpr std::uint32_t kValueBytes = 1;
+
+// Encodings write values length-prefixed: synthesized bytes may contain the
+// separators.
+struct Prefixed {
+  const Value& v;
+};
+std::ostream& operator<<(std::ostream& os, Prefixed p) {
+  return os << p.v.size() << ':' << p.v;
+}
+
+// A core as the hosts configure one, without an L1 tail and with 1-byte values.
+NodeCoreConfig CoreConfig(int self, int num_nodes, ConsistencyModel model,
+                          std::size_t cache_capacity) {
+  NodeCoreConfig c;
+  c.self = static_cast<NodeId>(self);
+  c.num_nodes = num_nodes;
+  c.consistency = model;
+  c.cache_capacity = cache_capacity;
+  c.value_bytes = kValueBytes;
+  return c;
+}
+
+template <typename... Args>
+std::string Format(Args&&... args) {
+  std::ostringstream os;
+  (os << ... << args);
+  return os.str();
+}
+
 constexpr Key kKey = 0xcafe;
-const char kInitValue[] = "init";
 
 // An in-flight protocol message.  The fabric is modelled as a multiset: UD
 // provides no ordering, so any in-flight message may be delivered next.
@@ -47,8 +77,9 @@ struct Action {
   int arg;  // node id for kStartWrite; in-flight index for kDeliver
 };
 
-// The complete protocol world: N real engines over N real caches, plus the
-// in-flight message multiset and verification bookkeeping.
+// The complete protocol world: N production NodeCores (Lin, one cached key,
+// no hot-set manager), plus the in-flight message multiset and verification
+// bookkeeping.
 class World {
  public:
   using ActionType = Action;
@@ -56,16 +87,15 @@ class World {
   explicit World(const ModelCheckerConfig& config)
       : config_(config), writes_remaining_(config.total_writes) {
     for (int i = 0; i < config.num_nodes; ++i) {
-      caches_.push_back(std::make_unique<SymmetricCache>(1));
-      caches_.back()->InstallHotSet({kKey});
-      caches_.back()->Fill(kKey, kInitValue, Timestamp{0, 0});
       sinks_.push_back(std::make_unique<Sink>(this, static_cast<NodeId>(i)));
-      engines_.push_back(std::make_unique<LinEngine>(
-          static_cast<NodeId>(i), config.num_nodes, caches_.back().get(),
-          sinks_.back().get()));
+      // The key never leaves the cache, so the core needs no home shard.
+      cores_.push_back(std::make_unique<NodeCore>(
+          CoreConfig(i, config.num_nodes, ConsistencyModel::kLin, 1),
+          sinks_.back().get(), nullptr));
+      cores_.back()->PrefillHotSet({kKey});
       writes_issued_by_.push_back(0);
     }
-    value_of_ts_[Timestamp{0, 0}] = kInitValue;
+    value_of_ts_[Timestamp{0, 0}] = SynthesizeValue(kKey, kValueBytes);
   }
 
   // --- Action enumeration (deterministic) ---
@@ -73,8 +103,7 @@ class World {
     std::vector<Action> actions;
     if (writes_remaining_ > 0) {
       for (int i = 0; i < config_.num_nodes; ++i) {
-        const CacheEntry* entry = caches_[static_cast<std::size_t>(i)]->Find(kKey);
-        if (!entry->write_in_flight) {
+        if (!Entry(i).write_in_flight) {
           actions.push_back(Action{Action::Kind::kStartWrite, i});
         }
       }
@@ -113,13 +142,13 @@ class World {
   // entries hold exactly that write's value.
   bool CheckDataValueInvariant() {
     for (int i = 0; i < config_.num_nodes; ++i) {
-      const CacheEntry* entry = caches_[static_cast<std::size_t>(i)]->Find(kKey);
-      auto it = value_of_ts_.find(entry->ts());
+      const CacheEntry& entry = Entry(i);
+      auto it = value_of_ts_.find(entry.ts());
       if (it == value_of_ts_.end()) {
         failure_ = Format("I1 violation: node ", i, " holds unknown timestamp");
         return false;
       }
-      if (entry->state() == CacheState::kValid && entry->value != it->second) {
+      if (entry.state() == CacheState::kValid && entry.value != it->second) {
         failure_ = Format("I1 violation: node ", i,
                           " Valid value does not match its timestamp's write");
         return false;
@@ -143,16 +172,16 @@ class World {
       max_ts = std::max(max_ts, ts);
     }
     for (int i = 0; i < config_.num_nodes; ++i) {
-      const CacheEntry* entry = caches_[static_cast<std::size_t>(i)]->Find(kKey);
-      if (entry->state() != CacheState::kValid) {
+      const CacheEntry& entry = Entry(i);
+      if (entry.state() != CacheState::kValid) {
         failure_ = Format("I5 violation: node ", i, " not Valid at quiescence");
         return false;
       }
-      if (entry->ts() != max_ts || entry->value != value_of_ts_[max_ts]) {
+      if (entry.ts() != max_ts || entry.value != value_of_ts_[max_ts]) {
         failure_ = Format("I5 violation: node ", i, " did not converge to max write");
         return false;
       }
-      if (!engines_[static_cast<std::size_t>(i)]->Quiescent()) {
+      if (!cores_[static_cast<std::size_t>(i)]->engine()->Quiescent()) {
         failure_ = Format("I5 violation: node ", i, " engine not quiescent");
         return false;
       }
@@ -164,27 +193,26 @@ class World {
   std::string Encode() const {
     std::ostringstream os;
     for (int i = 0; i < config_.num_nodes; ++i) {
-      const CacheEntry* e = caches_[static_cast<std::size_t>(i)]->Find(kKey);
-      os << 'N' << e->header.version << ',' << static_cast<int>(e->header.last_writer)
-         << ',' << static_cast<int>(e->header.state) << ','
-         << static_cast<int>(e->header.ack_count) << ',' << e->write_in_flight << ','
-         << e->superseded << ',' << e->has_shadow << ',' << e->value << ','
-         << e->pending_ts << ',' << e->pending_value << ',' << e->shadow_ts << ','
-         << e->shadow_value << ';' << writes_issued_by_[static_cast<std::size_t>(i)]
-         << ';';
+      const CacheEntry& e = Entry(i);
+      os << 'N' << e.header.version << ',' << static_cast<int>(e.header.last_writer)
+         << ',' << static_cast<int>(e.header.state) << ','
+         << static_cast<int>(e.header.ack_count) << ',' << e.write_in_flight << ','
+         << e.superseded << ',' << e.has_shadow << ',' << Prefixed{e.value} << ','
+         << e.pending_ts << ',' << Prefixed{e.pending_value} << ',' << e.shadow_ts
+         << ',' << Prefixed{e.shadow_value} << ';'
+         << writes_issued_by_[static_cast<std::size_t>(i)] << ';';
     }
     os << 'B' << writes_remaining_ << ';' << max_completed_ << ';';
     std::vector<Msg> sorted = in_flight_;
     std::sort(sorted.begin(), sorted.end());
     for (const Msg& m : sorted) {
       os << 'M' << static_cast<int>(m.type) << ',' << static_cast<int>(m.from) << ','
-         << static_cast<int>(m.to) << ',' << m.ts << ',' << m.value << ';';
+         << static_cast<int>(m.to) << ',' << m.ts << ',' << Prefixed{m.value} << ';';
     }
     return os.str();
   }
 
   const std::string& failure() const { return failure_; }
-  std::size_t in_flight_count() const { return in_flight_.size(); }
 
  private:
   class Sink final : public MessageSink {
@@ -215,34 +243,37 @@ class World {
     NodeId self_;
   };
 
-  template <typename... Args>
-  static std::string Format(Args&&... args) {
-    std::ostringstream os;
-    (os << ... << args);
-    return os.str();
+  const CacheEntry& Entry(int node) const {
+    return *cores_[static_cast<std::size_t>(node)]->cache()->Find(kKey);
   }
 
   std::vector<Timestamp> SnapshotTimestamps() const {
     std::vector<Timestamp> ts;
     for (int i = 0; i < config_.num_nodes; ++i) {
-      ts.push_back(caches_[static_cast<std::size_t>(i)]->Find(kKey)->ts());
+      ts.push_back(Entry(i).ts());
     }
     return ts;
   }
 
+  // A client PUT, issued as LiveNode issues one: routed by the core, started
+  // as a cache write, completed through the core's bookkeeping.
   bool StartWrite(NodeId node) {
     CCKVS_CHECK_GT(writes_remaining_, 0);
     --writes_remaining_;
     ++total_started_;
     const int idx = writes_issued_by_[node]++;
-    const std::string value =
-        Format("w", static_cast<int>(node), ":", idx);
-    CacheEntry* entry = caches_[node]->Find(kKey);
-    engines_[node]->Write(kKey, value, [this](Timestamp ts) {
+    const Op op{OpType::kPut, kKey, Format("w", static_cast<int>(node), ":", idx)};
+    NodeCore& core = *cores_[node];
+    Value unused;
+    Timestamp unused_ts;
+    CCKVS_CHECK(core.RouteOp(op, &unused, &unused_ts, [](const Value&, Timestamp) {}) ==
+                NodeCore::Route::kCacheWrite);
+    CCKVS_CHECK(core.StartCacheWrite(op.key, op.value, [this, node, op](Timestamp ts) {
+      cores_[node]->CompleteOp(op, NodeCore::Route::kCache, op.value, ts);
       max_completed_ = std::max(max_completed_, ts);
       ++completed_writes_;
-    });
-    const Timestamp assigned = entry->pending_ts;
+    }));
+    const Timestamp assigned = Entry(node).pending_ts;
     // I3: real-time ordering — a write issued now must be timestamped above
     // every already-completed write.
     if (!(assigned > max_completed_)) {
@@ -254,21 +285,21 @@ class World {
       failure_ = "timestamp bound exceeded";
       return false;
     }
-    CCKVS_CHECK(value_of_ts_.emplace(assigned, value).second);
+    CCKVS_CHECK(value_of_ts_.emplace(assigned, op.value).second);
     return true;
   }
 
   void Deliver(const Msg& msg) {
-    CoherenceEngine& engine = *engines_[msg.to];
+    NodeCore& core = *cores_[msg.to];
     switch (msg.type) {
       case Msg::Type::kInv:
-        engine.OnInvalidate(msg.from, InvalidateMsg{kKey, msg.ts});
+        core.OnInvalidate(msg.from, InvalidateMsg{kKey, msg.ts});
         break;
       case Msg::Type::kAck:
-        engine.OnAck(msg.from, AckMsg{kKey, msg.ts});
+        core.OnAck(msg.from, AckMsg{kKey, msg.ts});
         break;
       case Msg::Type::kUpd:
-        engine.OnUpdate(msg.from, UpdateMsg{kKey, msg.value, msg.ts});
+        core.OnUpdate(msg.from, UpdateMsg{kKey, msg.value, msg.ts});
         break;
     }
   }
@@ -280,9 +311,8 @@ class World {
   };
 
   ModelCheckerConfig config_;
-  std::vector<std::unique_ptr<SymmetricCache>> caches_;
   std::vector<std::unique_ptr<Sink>> sinks_;
-  std::vector<std::unique_ptr<LinEngine>> engines_;
+  std::vector<std::unique_ptr<NodeCore>> cores_;
   std::vector<Msg> in_flight_;
   std::vector<int> writes_issued_by_;
   int writes_remaining_ = 0;
@@ -302,7 +332,6 @@ class World {
 // node 0 and kKeyIn at node 1.
 constexpr Key kKeyOut = 0;
 constexpr Key kKeyIn = 1;
-const char kTransitionInit[] = "init";
 
 // One message on a per-(src,dst) FIFO lane.  Both production transports are
 // FIFO per peer pair across every class (the live channel by construction,
@@ -324,11 +353,12 @@ struct TAction {
   int b = 0;  // dst (kDeliver)
 };
 
-// N real engines + caches + shards + hot-set managers, the managers driven
-// through the same HotSetHost hooks both production hosts implement.  Client
-// ops route exactly as the hosts route them: own-cache hit through the
-// engine, otherwise a direct access to the home shard through the residency
-// gate, parking while the gate is up.
+// N production NodeCores (cache, engine and hot-set manager each) over N
+// store::Partition shards, driven as LiveNode drives its core: inbound
+// messages through the core's apply calls, client ops through its RouteOp,
+// epoch transitions through the HotSetHost hooks.  The world keeps only host
+// code: the lanes, the direct-shard miss path with gate parking, and the
+// verification bookkeeping.
 class TransitionWorld {
  public:
   using ActionType = TAction;
@@ -346,58 +376,42 @@ class TransitionWorld {
       PartitionConfig pc;
       pc.buckets = 16;
       pc.node_id = static_cast<NodeId>(i);
-      pc.synthesize = [](Key) { return Value(kTransitionInit); };
+      pc.synthesize = [](Key key) { return SynthesizeValue(key, kValueBytes); };
       partitions_.push_back(std::make_unique<Partition>(pc));
-      caches_.push_back(std::make_unique<SymmetricCache>(2));
-      caches_.back()->InstallHotSet({kKeyOut});
-      caches_.back()->Fill(kKeyOut, kTransitionInit, Timestamp{0, 0});
       hosts_.push_back(std::make_unique<NodeHost>(this, static_cast<NodeId>(i)));
-      if (config.model == ConsistencyModel::kLin) {
-        engines_.push_back(std::make_unique<LinEngine>(
-            static_cast<NodeId>(i), n, caches_.back().get(), hosts_.back().get()));
-      } else {
-        CCKVS_CHECK(config.model == ConsistencyModel::kSc);
-        engines_.push_back(std::make_unique<ScEngine>(
-            static_cast<NodeId>(i), n, caches_.back().get(), hosts_.back().get()));
-      }
+      NodeCoreConfig c = CoreConfig(i, n, config.model, 2);
+      // Node 0 also holds the coordinator role; the scope injects the
+      // announce itself, so only its member role is exercised.
+      c.online_topk = true;
+      c.epoch.hot_set_size = c.cache_capacity;  // as NodeCoreConfig::From sizes it
+      c.home_of = [this](Key key) { return HomeOf(key); };
+      Partition* shard = partitions_.back().get();
+      c.shard_of = [shard](Key) -> Partition& { return *shard; };
+      cores_.push_back(
+          std::make_unique<NodeCore>(c, hosts_.back().get(), hosts_.back().get()));
+      // Epoch-0 steady state: kKeyOut cached everywhere, its shard gate up at
+      // its home, exactly as both hosts prefill a hot set.
+      cores_.back()->PrefillHotSet({kKeyOut});
     }
-    for (int i = 0; i < n; ++i) {
-      HotSetManagerConfig hc;
-      hc.self = static_cast<NodeId>(i);
-      hc.num_nodes = n;
-      hc.coordinator = false;  // the scope injects the announce itself
-      hc.home_of = [n](Key key) {
-        return static_cast<NodeId>(key % static_cast<std::uint64_t>(n));
-      };
-      managers_.push_back(std::make_unique<HotSetManager>(
-          hc, caches_[static_cast<std::size_t>(i)].get(),
-          engines_[static_cast<std::size_t>(i)].get(),
-          hosts_[static_cast<std::size_t>(i)].get()));
-    }
-    // Epoch-0 steady state: the hot key's shard gate is up at its home,
-    // exactly as both hosts bracket a prefilled hot set.
-    partitions_[HomeOf(kKeyOut)]->MarkCacheResident(kKeyOut);
     announce_pending_.assign(static_cast<std::size_t>(n), true);
-    value_of_[{kKeyOut, Timestamp{0, 0}}] = kTransitionInit;
-    value_of_[{kKeyIn, Timestamp{0, 0}}] = kTransitionInit;
+    value_of_[{kKeyOut, Timestamp{0, 0}}] = SynthesizeValue(kKeyOut, kValueBytes);
+    value_of_[{kKeyIn, Timestamp{0, 0}}] = SynthesizeValue(kKeyIn, kValueBytes);
 
     // Client op templates, spread across nodes and both keys.  Which path an
     // op takes (cache, shard, or parked-on-the-gate) depends on when the
     // exploration starts it relative to the transition — that is the point.
     for (int t = 0; t < config.puts; ++t) {
-      OpRec op;
-      op.is_put = true;
-      op.key = t % 2 == 0 ? kKeyOut : kKeyIn;
-      op.node = static_cast<NodeId>((n - 1 + t) % n);
-      op.value = Format("p", t, "@n", static_cast<int>(op.node));
-      ops_.push_back(std::move(op));
+      OpRec rec;
+      rec.node = static_cast<NodeId>((n - 1 + t) % n);
+      rec.op = Op{OpType::kPut, t % 2 == 0 ? kKeyOut : kKeyIn,
+                  Format("p", t, "@n", static_cast<int>(rec.node))};
+      recs_.push_back(std::move(rec));
     }
     for (int t = 0; t < config.gets; ++t) {
-      OpRec op;
-      op.is_put = false;
-      op.key = t % 2 == 0 ? kKeyOut : kKeyIn;
-      op.node = static_cast<NodeId>((n - 1 + t) % n);
-      ops_.push_back(std::move(op));
+      OpRec rec;
+      rec.node = static_cast<NodeId>((n - 1 + t) % n);
+      rec.op = Op{OpType::kGet, t % 2 == 0 ? kKeyOut : kKeyIn, {}};
+      recs_.push_back(std::move(rec));
     }
   }
 
@@ -415,11 +429,11 @@ class TransitionWorld {
         }
       }
     }
-    for (int idx = 0; idx < static_cast<int>(ops_.size()); ++idx) {
-      const OpRec& op = ops_[static_cast<std::size_t>(idx)];
-      if (op.st == OpRec::St::kReady) {
+    for (int idx = 0; idx < static_cast<int>(recs_.size()); ++idx) {
+      const OpRec& rec = recs_[static_cast<std::size_t>(idx)];
+      if (rec.st == OpRec::St::kReady) {
         actions.push_back(TAction{TAction::Kind::kStart, idx, 0});
-      } else if (op.st == OpRec::St::kParked && RetryEnabled(op)) {
+      } else if (rec.st == OpRec::St::kParked && RetryEnabled(rec)) {
         actions.push_back(TAction{TAction::Kind::kRetry, idx, 0});
       }
     }
@@ -431,7 +445,7 @@ class TransitionWorld {
     switch (action.kind) {
       case TAction::Kind::kAnnounce:
         announce_pending_[static_cast<std::size_t>(action.a)] = false;
-        managers_[static_cast<std::size_t>(action.a)]->DriveAnnounce(announce_);
+        cores_[static_cast<std::size_t>(action.a)]->ApplyAnnounce(announce_);
         break;
       case TAction::Kind::kDeliver: {
         auto& lane = Lane(action.a, action.b);
@@ -459,10 +473,10 @@ class TransitionWorld {
         return false;
       }
     }
-    for (std::size_t idx = 0; idx < ops_.size(); ++idx) {
-      if (ops_[idx].st != OpRec::St::kDone) {
+    for (std::size_t idx = 0; idx < recs_.size(); ++idx) {
+      if (recs_[idx].st != OpRec::St::kDone) {
         failure_ = Format("deadlock: op ", idx, " never completed (",
-                          ops_[idx].st == OpRec::St::kParked
+                          recs_[idx].st == OpRec::St::kParked
                               ? "parked on a gate that never lifted"
                               : "blocked in the protocol",
                           ")");
@@ -471,28 +485,29 @@ class TransitionWorld {
     }
     const Timestamp want_in = MaxWriteTs(kKeyIn);
     for (int i = 0; i < config_.num_nodes; ++i) {
-      const auto n = static_cast<std::size_t>(i);
-      if (!engines_[n]->Quiescent()) {
+      const NodeCore& core = *cores_[static_cast<std::size_t>(i)];
+      const HotSetManager& mgr = *core.hot_set_manager();
+      if (!core.engine()->Quiescent()) {
         failure_ = Format("node ", i, " engine not quiescent at termination");
         return false;
       }
-      if (managers_[n]->HasDeferred()) {
+      if (mgr.HasDeferred()) {
         failure_ = Format("node ", i, " still holds deferred evictions");
         return false;
       }
-      if (managers_[n]->installed_epoch() != announce_.epoch) {
+      if (mgr.installed_epoch() != announce_.epoch) {
         failure_ = Format("node ", i, " never installed the epoch");
         return false;
       }
-      if (managers_[n]->ShardGated(kKeyOut) || managers_[n]->ShardGated(kKeyIn)) {
+      if (mgr.ShardGated(kKeyOut) || mgr.ShardGated(kKeyIn)) {
         failure_ = Format("node ", i, " barrier never settled (gate still pending)");
         return false;
       }
-      if (caches_[n]->Find(kKeyOut) != nullptr) {
+      if (core.Caches(kKeyOut)) {
         failure_ = Format("node ", i, " still caches the evicted key");
         return false;
       }
-      const CacheEntry* e = caches_[n]->Find(kKeyIn);
+      const CacheEntry* e = core.cache()->Find(kKeyIn);
       if (e == nullptr || e->state() != CacheState::kValid) {
         failure_ = Format("node ", i, " admitted key not Valid at quiescence");
         return false;
@@ -537,10 +552,10 @@ class TransitionWorld {
   std::string Encode() const {
     std::ostringstream os;
     for (int i = 0; i < config_.num_nodes; ++i) {
-      const auto n = static_cast<std::size_t>(i);
+      const NodeCore& core = *cores_[static_cast<std::size_t>(i)];
       os << 'N' << i << ':';
       for (const Key key : {kKeyOut, kKeyIn}) {
-        const CacheEntry* e = caches_[n]->Find(key);
+        const CacheEntry* e = core.cache()->Find(key);
         if (e == nullptr) {
           os << "-;";
           continue;
@@ -548,25 +563,26 @@ class TransitionWorld {
         os << e->header.version << ',' << static_cast<int>(e->header.last_writer)
            << ',' << static_cast<int>(e->header.state) << ','
            << static_cast<int>(e->header.ack_count) << ',' << e->write_in_flight
-           << ',' << e->superseded << ',' << e->has_shadow << ',' << e->value << ','
-           << e->value_ts << ',' << e->pending_ts << ',' << e->pending_value << ','
-           << e->shadow_ts << ',' << e->shadow_value << ';';
+           << ',' << e->superseded << ',' << e->has_shadow << ',' << Prefixed{e->value}
+           << ',' << e->value_ts << ',' << e->pending_ts << ','
+           << Prefixed{e->pending_value} << ',' << e->shadow_ts << ','
+           << Prefixed{e->shadow_value} << ';';
       }
-      os << 'M' << managers_[n]->target_epoch() << ','
-         << managers_[n]->deferred_evictions() << ','
-         << managers_[n]->ShardGated(kKeyOut) << ','
-         << managers_[n]->ShardGated(kKeyIn) << ',';
+      const HotSetManager& mgr = *core.hot_set_manager();
+      os << 'M' << mgr.target_epoch() << ',' << mgr.deferred_evictions() << ','
+         << mgr.ShardGated(kKeyOut) << ',' << mgr.ShardGated(kKeyIn) << ',';
       for (int j = 0; j < config_.num_nodes; ++j) {
-        os << managers_[n]->peer_installed_epoch(static_cast<NodeId>(j)) << '/';
+        os << mgr.peer_installed_epoch(static_cast<NodeId>(j)) << '/';
       }
-      for (const FillMsg& f : managers_[n]->StashedFills()) {
-        os << 'S' << f.key << ',' << f.ts << ',' << f.value << ',' << f.epoch << ';';
+      for (const FillMsg& f : mgr.StashedFills()) {
+        os << 'S' << f.key << ',' << f.ts << ',' << Prefixed{f.value} << ',' << f.epoch
+           << ';';
       }
-      for (const HotSetManager::AheadTraffic& a : managers_[n]->SeenAheadTraffic()) {
+      for (const HotSetManager::AheadTraffic& a : mgr.SeenAheadTraffic()) {
         os << 'T' << a.key << ',' << a.inv_ts << ',' << a.upd_ts << ','
-           << a.upd_value << ';';
+           << Prefixed{a.upd_value} << ';';
       }
-      os << 'A' << announce_pending_[n] << ';';
+      os << 'A' << announce_pending_[static_cast<std::size_t>(i)] << ';';
     }
     for (const Key key : {kKeyOut, kKeyIn}) {
       Value v;
@@ -574,8 +590,8 @@ class TransitionWorld {
       bool resident = false;
       const Partition& home = *partitions_[HomeOf(key)];
       CCKVS_CHECK(home.Get(key, &v, &ts, &resident));
-      os << 'P' << key << ':' << home.Contains(key) << ',' << v << ',' << ts << ','
-         << resident << ';';
+      os << 'P' << key << ':' << home.Contains(key) << ',' << Prefixed{v} << ',' << ts
+         << ',' << resident << ';';
     }
     for (int src = 0; src < config_.num_nodes; ++src) {
       for (int dst = 0; dst < config_.num_nodes; ++dst) {
@@ -585,14 +601,14 @@ class TransitionWorld {
         os << 'L' << src << '>' << dst << ':';
         for (const TMsg& m : Lane(src, dst)) {
           os << static_cast<int>(m.type) << ',' << m.key << ',' << m.ts << ','
-             << m.value << ',' << m.epoch << '|';
+             << Prefixed{m.value} << ',' << m.epoch << '|';
         }
         os << ';';
       }
     }
-    for (const OpRec& op : ops_) {
-      os << 'O' << static_cast<int>(op.st) << ',' << op.invoked << ','
-         << op.ts_known << ',' << op.ts << ',' << op.watermark << ';';
+    for (const OpRec& rec : recs_) {
+      os << 'O' << static_cast<int>(rec.st) << ',' << rec.invoked << ','
+         << rec.ts_known << ',' << rec.ts << ',' << rec.watermark << ';';
     }
     return os.str();
   }
@@ -602,18 +618,17 @@ class TransitionWorld {
  private:
   struct OpRec {
     NodeId node = 0;
-    Key key = 0;
-    bool is_put = false;
+    Op op;  // puts carry the unique value written
     enum class St : std::uint8_t { kReady, kParked, kInFlight, kDone };
     St st = St::kReady;
-    std::string value;      // puts: the unique value written
     Timestamp ts{};         // assigned (put) / observed (get)
     bool ts_known = false;
     bool invoked = false;
     Timestamp watermark{};  // per-key completed-op watermark at invocation
   };
 
-  // Lanes + HotSetHost + MessageSink of one node.
+  // Lanes + HotSetHost + MessageSink of one node; the shard hooks delegate to
+  // the node's core, as LiveNode's do.
   class NodeHost final : public MessageSink, public HotSetHost {
    public:
     NodeHost(TransitionWorld* world, NodeId self) : world_(world), self_(self) {}
@@ -630,13 +645,9 @@ class TransitionWorld {
     }
 
     void ApplyWriteback(const SymmetricCache::Eviction& ev) override {
-      world_->partitions_[self_]->Apply(ev.key, ev.value, ev.ts);
+      core().ApplyWriteback(ev);
     }
-    FillSnapshot GateAndSnapshot(Key key) override {
-      const Partition::ResidentSnapshot snap =
-          world_->partitions_[self_]->MarkCacheResident(key);
-      return FillSnapshot{snap.value, snap.ts};
-    }
+    FillSnapshot GateAndSnapshot(Key key) override { return core().GateAndSnapshot(key); }
     void PublishFills(const std::vector<FillMsg>& fills) override {
       for (const FillMsg& f : fills) {
         world_->PushToPeers(self_,
@@ -647,22 +658,15 @@ class TransitionWorld {
       world_->PushToPeers(self_,
                           TMsg{TMsg::Type::kInstalled, 0, Timestamp{}, {}, msg.epoch});
     }
-    void LiftGate(Key key) override {
-      world_->partitions_[self_]->ClearCacheResident(key);
-    }
+    void LiftGate(Key key) override { core().LiftGate(key); }
 
    private:
+    NodeCore& core() { return *world_->cores_[self_]; }
+
     TransitionWorld* world_;
     NodeId self_;
   };
   friend class NodeHost;
-
-  template <typename... Args>
-  static std::string Format(Args&&... args) {
-    std::ostringstream os;
-    (os << ... << args);
-    return os.str();
-  }
 
   NodeId HomeOf(Key key) const {
     return static_cast<NodeId>(key %
@@ -692,145 +696,139 @@ class TransitionWorld {
   }
 
   void Deliver(NodeId src, NodeId dst, const TMsg& msg) {
-    const auto d = static_cast<std::size_t>(dst);
+    NodeCore& core = *cores_[dst];
     switch (msg.type) {
       case TMsg::Type::kInv:
-        if (caches_[d]->Find(msg.key) == nullptr) {
-          managers_[d]->NoteUncachedInvalidate(msg.key, msg.ts);
-        }
-        engines_[d]->OnInvalidate(src, InvalidateMsg{msg.key, msg.ts});
+        core.OnInvalidate(src, InvalidateMsg{msg.key, msg.ts});
         break;
       case TMsg::Type::kAck:
-        engines_[d]->OnAck(src, AckMsg{msg.key, msg.ts});
+        core.OnAck(src, AckMsg{msg.key, msg.ts});
         break;
       case TMsg::Type::kUpd:
-        // As both hosts route updates: through the engine while the key is
-        // cached, into the home shard when homed here (a late write-back),
-        // else into the manager's pre-admission record.
-        if (caches_[d]->Find(msg.key) != nullptr) {
-          engines_[d]->OnUpdate(src, UpdateMsg{msg.key, msg.value, msg.ts});
-        } else if (HomeOf(msg.key) == dst) {
-          partitions_[d]->Apply(msg.key, msg.value, msg.ts);
-        } else {
-          managers_[d]->NoteUncachedUpdate(msg.key, msg.value, msg.ts);
-        }
+        core.OnUpdate(src, UpdateMsg{msg.key, msg.value, msg.ts});
         break;
       case TMsg::Type::kFill:
-        managers_[d]->ApplyFill(FillMsg{msg.key, msg.value, msg.ts, msg.epoch});
+        core.ApplyFill(FillMsg{msg.key, msg.value, msg.ts, msg.epoch});
         break;
       case TMsg::Type::kInstalled:
-        managers_[d]->DrivePeerInstalled(src, msg.epoch);
+        core.hot_set_manager()->DrivePeerInstalled(src, msg.epoch);
         break;
     }
     // Hosts retry deferred evictions on every pump after protocol progress.
-    managers_[d]->DriveDeferred();
+    core.DriveDeferred();
   }
 
   // True when re-routing a parked shard op can make progress: the key entered
   // this node's cache, or the home shard's gate is down.  (The live run loop
   // retries unconditionally and re-parks; enabling only productive retries
   // keeps the state space free of self-loops without losing interleavings.)
-  bool RetryEnabled(const OpRec& op) const {
-    if (caches_[op.node]->Find(op.key) != nullptr) {
+  bool RetryEnabled(const OpRec& rec) const {
+    if (cores_[rec.node]->Caches(rec.op.key)) {
       return true;
     }
     Value v;
     Timestamp ts;
     bool resident = false;
-    CCKVS_CHECK(partitions_[HomeOf(op.key)]->Get(op.key, &v, &ts, &resident));
+    CCKVS_CHECK(partitions_[HomeOf(rec.op.key)]->Get(rec.op.key, &v, &ts, &resident));
     return !resident;
   }
 
+  // Routes an op as LiveNode::RouteOp does: the core serves cache hits and
+  // starts cache writes; everything else takes the miss path.
   void RouteOp(int idx) {
-    OpRec& op = ops_[static_cast<std::size_t>(idx)];
-    if (!op.invoked) {
-      op.invoked = true;
-      op.watermark = MaxCompletedTs(op.key);
+    OpRec& rec = recs_[static_cast<std::size_t>(idx)];
+    if (!rec.invoked) {
+      rec.invoked = true;
+      rec.watermark = MaxCompletedTs(rec.op.key);
     }
-    op.st = OpRec::St::kInFlight;
-    const auto n = static_cast<std::size_t>(op.node);
-    if (caches_[n]->Find(op.key) != nullptr) {
-      if (op.is_put) {
-        engines_[n]->Write(op.key, op.value,
-                           [this, idx](Timestamp ts) { CompletePut(idx, ts); });
+    rec.st = OpRec::St::kInFlight;
+    NodeCore& core = *cores_[rec.node];
+    Value v;
+    Timestamp ts;
+    const NodeCore::Route route =
+        core.RouteOp(rec.op, &v, &ts, [this, idx](const Value& rv, Timestamp rt) {
+          CompleteRead(idx, rv, rt, NodeCore::Route::kCache);
+        });
+    switch (route) {
+      case NodeCore::Route::kCache:
+      case NodeCore::Route::kL1:
+        CompleteRead(idx, v, ts, route);
+        return;
+      case NodeCore::Route::kCacheBlocked:
+        return;  // the parked-reader callback completes the op
+      case NodeCore::Route::kCacheWrite:
+        // Routed and started in one step: the key cannot churn out between.
+        CCKVS_CHECK(core.StartCacheWrite(
+            rec.op.key, rec.op.value,
+            [this, idx](Timestamp t) { CompletePut(idx, t, NodeCore::Route::kCache); }));
         SweepStartedPuts();  // capture the started write's timestamp
-      } else {
-        Value v;
-        Timestamp ts;
-        const auto result = engines_[n]->Read(
-            op.key, &v, &ts, [this, idx](const Value& rv, Timestamp rt) {
-              CompleteRead(idx, rv, rt);
-            });
-        if (result == CoherenceEngine::ReadResult::kHit) {
-          CompleteRead(idx, v, ts);
-        }
-      }
-      return;
+        return;
+      case NodeCore::Route::kMiss:
+        break;
     }
     // Direct shard access through the residency gate, as the hosts' miss
-    // paths do.
-    Partition& home = *partitions_[HomeOf(op.key)];
-    if (op.is_put) {
-      Timestamp ts;
-      if (!home.TryPut(op.key, op.value, &ts)) {
-        op.st = OpRec::St::kParked;
+    // paths do: a gated op parks until RetryEnabled.
+    Partition& home = *partitions_[HomeOf(rec.op.key)];
+    if (rec.op.type == OpType::kPut) {
+      if (!home.TryPut(rec.op.key, rec.op.value, &ts)) {
+        rec.st = OpRec::St::kParked;
         return;
       }
       AssignPutTs(idx, ts);
       if (failure_.empty()) {
-        CompletePut(idx, ts);
+        CompletePut(idx, ts, NodeCore::Route::kMiss);
       }
-    } else {
-      Value v;
-      Timestamp ts;
-      bool resident = false;
-      CCKVS_CHECK(home.Get(op.key, &v, &ts, &resident));
-      if (resident) {
-        op.st = OpRec::St::kParked;
-        return;
-      }
-      CompleteRead(idx, v, ts);
+      return;
     }
+    bool resident = false;
+    CCKVS_CHECK(home.Get(rec.op.key, &v, &ts, &resident));
+    if (resident) {
+      rec.st = OpRec::St::kParked;
+      return;
+    }
+    CompleteRead(idx, v, ts, NodeCore::Route::kMiss);
   }
 
   void AssignPutTs(int idx, Timestamp ts) {
-    OpRec& op = ops_[static_cast<std::size_t>(idx)];
-    op.ts = ts;
-    op.ts_known = true;
+    OpRec& rec = recs_[static_cast<std::size_t>(idx)];
+    rec.ts = ts;
+    rec.ts_known = true;
     if (ts.clock > static_cast<std::uint32_t>(config_.max_clock)) {
       failure_ = "timestamp bound exceeded";
       return;
     }
-    if (!value_of_.emplace(std::make_pair(op.key, ts), op.value).second) {
-      failure_ = Format("duplicate timestamp assigned to key ", op.key,
+    if (!value_of_.emplace(std::make_pair(rec.op.key, ts), rec.op.value).second) {
+      failure_ = Format("duplicate timestamp assigned to key ", rec.op.key,
                         " (two writes share a Lamport timestamp)");
     }
   }
 
   // `ts` is the write's timestamp (the engine's done callback supplies it).
-  void CompletePut(int idx, Timestamp ts) {
-    OpRec& op = ops_[static_cast<std::size_t>(idx)];
-    if (!op.ts_known) {
+  void CompletePut(int idx, Timestamp ts, NodeCore::Route route) {
+    OpRec& rec = recs_[static_cast<std::size_t>(idx)];
+    if (!rec.ts_known) {
       AssignPutTs(idx, ts);
       if (!failure_.empty()) {
         return;
       }
     }
-    op.st = OpRec::St::kDone;
-    if (config_.model == ConsistencyModel::kLin && !(op.ts > op.watermark)) {
+    rec.st = OpRec::St::kDone;
+    cores_[rec.node]->CompleteOp(rec.op, route, rec.op.value, rec.ts);
+    if (config_.model == ConsistencyModel::kLin && !(rec.ts > rec.watermark)) {
       failure_ = Format("linearizability violation: put ", idx,
                         " serialized at/below the key's completed watermark");
       return;
     }
-    NoteCompleted(op.key, op.ts);
+    NoteCompleted(rec.op.key, rec.ts);
   }
 
-  void CompleteRead(int idx, const Value& v, Timestamp ts) {
-    OpRec& op = ops_[static_cast<std::size_t>(idx)];
-    op.st = OpRec::St::kDone;
-    op.ts = ts;
-    op.ts_known = true;
-    const auto it = value_of_.find({op.key, ts});
+  void CompleteRead(int idx, const Value& v, Timestamp ts, NodeCore::Route route) {
+    OpRec& rec = recs_[static_cast<std::size_t>(idx)];
+    rec.st = OpRec::St::kDone;
+    rec.ts = ts;
+    rec.ts_known = true;
+    cores_[rec.node]->CompleteOp(rec.op, route, v, ts);
+    const auto it = value_of_.find({rec.op.key, ts});
     if (it == value_of_.end()) {
       failure_ = Format("read ", idx, " observed an unknown write");
       return;
@@ -840,12 +838,12 @@ class TransitionWorld {
                         " returned a value not matching its timestamp's write");
       return;
     }
-    if (config_.model == ConsistencyModel::kLin && ts < op.watermark) {
+    if (config_.model == ConsistencyModel::kLin && ts < rec.watermark) {
       failure_ = Format("linearizability violation: read ", idx,
                         " observed below the key's completed watermark");
       return;
     }
-    NoteCompleted(op.key, ts);
+    NoteCompleted(rec.op.key, ts);
   }
 
   Timestamp MaxCompletedTs(Key key) const {
@@ -869,13 +867,14 @@ class TransitionWorld {
   // Lin started writes pick up their timestamp when the engine actually
   // starts them (a queued write starts inside a fill/update/ack delivery).
   void SweepStartedPuts() {
-    for (int idx = 0; idx < static_cast<int>(ops_.size()); ++idx) {
-      OpRec& op = ops_[static_cast<std::size_t>(idx)];
-      if (op.st != OpRec::St::kInFlight || !op.is_put || op.ts_known) {
+    for (int idx = 0; idx < static_cast<int>(recs_.size()); ++idx) {
+      const OpRec& rec = recs_[static_cast<std::size_t>(idx)];
+      if (rec.st != OpRec::St::kInFlight || rec.op.type != OpType::kPut ||
+          rec.ts_known) {
         continue;
       }
-      const CacheEntry* e = caches_[static_cast<std::size_t>(op.node)]->Find(op.key);
-      if (e != nullptr && e->write_in_flight && e->pending_value == op.value) {
+      const CacheEntry* e = cores_[rec.node]->cache()->Find(rec.op.key);
+      if (e != nullptr && e->write_in_flight && e->pending_value == rec.op.value) {
         AssignPutTs(idx, e->pending_ts);
         if (!failure_.empty()) {
           return;
@@ -886,9 +885,9 @@ class TransitionWorld {
 
   std::vector<Timestamp> SnapshotCacheTimestamps() const {
     std::vector<Timestamp> ts;
-    for (int i = 0; i < config_.num_nodes; ++i) {
+    for (const auto& core : cores_) {
       for (const Key key : {kKeyOut, kKeyIn}) {
-        const CacheEntry* e = caches_[static_cast<std::size_t>(i)]->Find(key);
+        const CacheEntry* e = core->cache()->Find(key);
         // Absent and kFilling entries are exempt (a re-admission restarts the
         // visible clock at the fill); sentinel max() marks them.
         ts.push_back(e == nullptr || e->state() == CacheState::kFilling
@@ -914,7 +913,7 @@ class TransitionWorld {
     }
     for (int i = 0; i < config_.num_nodes; ++i) {
       for (const Key key : {kKeyOut, kKeyIn}) {
-        const CacheEntry* e = caches_[static_cast<std::size_t>(i)]->Find(key);
+        const CacheEntry* e = cores_[static_cast<std::size_t>(i)]->cache()->Find(key);
         if (e == nullptr || e->state() == CacheState::kFilling) {
           continue;
         }
@@ -951,13 +950,11 @@ class TransitionWorld {
   TransitionScopeConfig config_;
   HotSetAnnounceMsg announce_;
   std::vector<std::unique_ptr<Partition>> partitions_;
-  std::vector<std::unique_ptr<SymmetricCache>> caches_;
   std::vector<std::unique_ptr<NodeHost>> hosts_;
-  std::vector<std::unique_ptr<CoherenceEngine>> engines_;
-  std::vector<std::unique_ptr<HotSetManager>> managers_;
+  std::vector<std::unique_ptr<NodeCore>> cores_;
   std::vector<std::deque<TMsg>> lanes_;  // (src * n + dst) FIFO channels
   std::vector<bool> announce_pending_;
-  std::vector<OpRec> ops_;
+  std::vector<OpRec> recs_;
   std::map<std::pair<Key, Timestamp>, std::string> value_of_;
   std::map<Key, Timestamp> max_completed_;
   std::string failure_;

@@ -3,9 +3,10 @@
 // The paper verified its Lin protocol in Murφ (3 processors, 2 addresses, 2-bit
 // timestamps) for safety — the single-writer-multiple-reader and data-value
 // invariants — and deadlock freedom.  This checker reproduces that verification
-// against the *production* LinEngine code (src/protocol/engine.cc), not an
-// abstract re-specification: it instantiates N real engines over real symmetric
-// caches, and exhaustively explores every interleaving of
+// against the *production* node machine, not an abstract re-specification: it
+// instantiates N NodeCores (src/cckvs/node_core.h — the symmetric cache and
+// LinEngine both racks run) and drives them as LiveNode does, exhaustively
+// exploring every interleaving of
 //
 //   * write initiations (any node, while a global write budget remains), and
 //   * message deliveries (any in-flight message, in any order — UD gives no
@@ -25,16 +26,17 @@
 //      globally maximal timestamp and its value.
 //
 // State identity is a canonical encoding of cache contents + in-flight messages
-// + budgets; exploration is BFS with replay (states are regenerated from action
-// paths, so the engines never need to be copyable).
+// + budgets (values length-prefixed); exploration is BFS with replay (states
+// are regenerated from action paths, so the cores never need to be copyable).
 //
 // A second scope — CheckEpochTransition — extends the same exhaustive method
-// to §4's epoch-transition machinery: N real engines + symmetric caches +
-// store::Partition shards + topk::HotSetManager instances (driven through the
-// same HotSetHost hooks both production hosts use) explore every interleaving
-// of announce applications, protocol deliveries (inv/ack/update), fills,
-// install-barrier confirmations, client cache ops and gated direct-shard ops
-// across one epoch change that evicts one key and admits another.  Messages
+// to §4's epoch-transition machinery: N NodeCores with their hot-set managers
+// over store::Partition shards (the managers driven through the same
+// HotSetHost hooks both production hosts use, delegating to the core as
+// LiveNode's do) explore every interleaving of announce applications,
+// protocol deliveries (inv/ack/update), fills, install-barrier confirmations,
+// client cache ops and gated direct-shard ops across one epoch change that
+// evicts one key and admits another.  Messages
 // travel per-(src,dst) FIFO lanes — the ordering both transports guarantee
 // and the install barrier relies on — while lanes interleave freely.
 // Checked: per-key linearizability at every op completion (reads never
@@ -75,10 +77,10 @@ struct ModelCheckerResult {
 ModelCheckerResult CheckLinProtocol(const ModelCheckerConfig& config);
 
 // Epoch-transition scope: one epoch change (key 0 evicted, key 1 admitted)
-// explored exhaustively against the production engines, caches, shards and
-// hot-set managers.  Client load comes from `puts` put templates and `gets`
-// get templates spread across nodes and both keys; each op routes exactly as
-// the hosts do — own-cache hit through the engine, otherwise a direct shard
+// explored exhaustively against the production NodeCores and shards.  Client
+// load comes from `puts` put templates and `gets` get templates spread across
+// nodes and both keys; each op routes through NodeCore::RouteOp as the hosts
+// do — a cache hit or cache write through the core, otherwise a direct shard
 // access through the residency gate, parking (and later retrying) when gated.
 struct TransitionScopeConfig {
   int num_nodes = 2;

@@ -371,6 +371,28 @@ TEST(MultiprocRack, ParamsRoundTripThroughHexBlob) {
   LiveRackParams bad;
   EXPECT_FALSE(DecodeRackParams(hex.substr(0, hex.size() - 4), &bad, &error));
   EXPECT_FALSE(DecodeRackParams("zz" + hex, &bad, &error));
+
+  // Out-of-range fields are clean decode errors, not a rack that aborts (a
+  // kNone rack has no cache to prefill).
+  const auto rejects = [&p](const char* what, auto mutate) {
+    LiveRackParams m = p;
+    mutate(m);
+    LiveRackParams out;
+    std::string err;
+    EXPECT_FALSE(DecodeRackParams(EncodeRackParams(m), &out, &err)) << what;
+    EXPECT_FALSE(err.empty()) << what;
+  };
+  rejects("consistency kNone",
+          [](LiveRackParams& m) { m.consistency = ConsistencyModel::kNone; });
+  rejects("consistency past the enum",
+          [](LiveRackParams& m) { m.consistency = static_cast<ConsistencyModel>(9); });
+  rejects("transport kind past the enum",
+          [](LiveRackParams& m) { m.transport.kind = static_cast<TransportKind>(7); });
+  rejects("one node", [](LiveRackParams& m) {
+    m.num_nodes = 1;
+    m.transport.rank = 0;
+  });
+  rejects("rank == num_nodes", [](LiveRackParams& m) { m.transport.rank = m.num_nodes; });
 }
 
 }  // namespace

@@ -191,7 +191,6 @@ TEST(ProfilerTest, RunLoopAndProfilingParamsRoundTripThroughBlob) {
   p.profile = true;
   p.profile_interval_ms = 125;
   p.profile_csv_path = "/tmp/prof.csv";
-  p.profile_to_stderr = true;
   p.track_allocs = true;
   p.alloc_assert = true;
   p.prefill_store = true;
@@ -210,7 +209,6 @@ TEST(ProfilerTest, RunLoopAndProfilingParamsRoundTripThroughBlob) {
   EXPECT_TRUE(out.profile);
   EXPECT_EQ(out.profile_interval_ms, 125u);
   EXPECT_EQ(out.profile_csv_path, "/tmp/prof.csv");
-  EXPECT_TRUE(out.profile_to_stderr);
   EXPECT_TRUE(out.track_allocs);
   EXPECT_TRUE(out.alloc_assert);
   EXPECT_TRUE(out.prefill_store);

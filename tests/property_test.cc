@@ -375,20 +375,48 @@ INSTANTIATE_TEST_SUITE_P(
 // lives in bench/sec52_model_check)
 // ---------------------------------------------------------------------------
 
-class CheckerScope : public testing::TestWithParam<std::tuple<int, int>> {};
+// Each scope's explored space is pinned exactly
+// (states/transitions/terminals/depth), so a refactor can neither narrow nor
+// reshape it unnoticed.
+struct SpaceSize {
+  std::uint64_t states;
+  std::uint64_t transitions;
+  std::uint64_t terminals;
+  std::uint64_t depth;
+};
+
+void ExpectSpace(const ModelCheckerResult& r, const SpaceSize& want) {
+  EXPECT_EQ(r.states_explored, want.states);
+  EXPECT_EQ(r.transitions, want.transitions);
+  EXPECT_EQ(r.terminal_states, want.terminals);
+  EXPECT_EQ(r.max_depth, want.depth);
+}
+
+struct CheckerCase {
+  int nodes;
+  int writes;
+  SpaceSize space;
+};
+
+class CheckerScope : public testing::TestWithParam<CheckerCase> {};
 
 TEST_P(CheckerScope, AllInvariantsHold) {
-  const auto [nodes, writes] = GetParam();
+  const CheckerCase c = GetParam();
   ModelCheckerConfig cfg;
-  cfg.num_nodes = nodes;
-  cfg.total_writes = writes;
+  cfg.num_nodes = c.nodes;
+  cfg.total_writes = c.writes;
   const ModelCheckerResult r = CheckLinProtocol(cfg);
   EXPECT_TRUE(r.ok) << r.failure;
+  ExpectSpace(r, c.space);
 }
 
 INSTANTIATE_TEST_SUITE_P(Sweep, CheckerScope,
-                         testing::Combine(testing::Values(2, 3, 4),
-                                          testing::Values(1, 2)));
+                         testing::Values(CheckerCase{2, 1, {9, 8, 2, 4}},
+                                         CheckerCase{2, 2, {97, 130, 11, 8}},
+                                         CheckerCase{3, 1, {37, 51, 3, 7}},
+                                         CheckerCase{3, 2, {2095, 4935, 30, 14}},
+                                         CheckerCase{4, 1, {137, 268, 4, 10}},
+                                         CheckerCase{4, 2, {32061, 109752, 58, 20}}));
 
 // ---------------------------------------------------------------------------
 // Epoch-transition scopes (cheap bounded scopes; the larger sweeps live in
@@ -401,6 +429,7 @@ struct TransitionCase {
   ConsistencyModel model;
   int puts;
   int gets;
+  SpaceSize space;
 };
 
 class TransitionScope : public testing::TestWithParam<TransitionCase> {};
@@ -414,16 +443,15 @@ TEST_P(TransitionScope, ExhaustiveAndViolationFree) {
   cfg.gets = c.gets;
   const ModelCheckerResult r = CheckEpochTransition(cfg);
   EXPECT_TRUE(r.ok) << r.failure;
-  EXPECT_GT(r.states_explored, 20u);
-  EXPECT_GT(r.terminal_states, 0u);
+  ExpectSpace(r, c.space);
 }
 
 INSTANTIATE_TEST_SUITE_P(
     Sweep, TransitionScope,
-    testing::Values(TransitionCase{ConsistencyModel::kLin, 0, 1},
-                    TransitionCase{ConsistencyModel::kLin, 1, 1},
-                    TransitionCase{ConsistencyModel::kSc, 1, 1},
-                    TransitionCase{ConsistencyModel::kSc, 2, 1}));
+    testing::Values(TransitionCase{ConsistencyModel::kLin, 0, 1, {33, 60, 1, 6}},
+                    TransitionCase{ConsistencyModel::kLin, 1, 1, {268, 528, 9, 10}},
+                    TransitionCase{ConsistencyModel::kSc, 1, 1, {136, 282, 5, 8}},
+                    TransitionCase{ConsistencyModel::kSc, 2, 1, {503, 1232, 10, 10}}));
 
 }  // namespace
 }  // namespace cckvs

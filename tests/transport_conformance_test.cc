@@ -15,14 +15,21 @@
 //   * wakeup-once-per-batch (wakeups ≤ batches pushed; zero without parking);
 //   * batch ownership: drained batches return to their owner's free list.
 //
+// Plus the shm backend's name lifecycle: the name is gone from /dev/shm once
+// every rank has attached, and batches still cross.
+//
 // The shm and socket backends deliver asynchronously (ring + doorbell,
 // rx thread), so assertions about arrival poll with a deadline instead of
 // assuming synchronous delivery.
 
+#include <fcntl.h>
+#include <sys/mman.h>
 #include <unistd.h>
 
 #include <atomic>
+#include <cerrno>
 #include <chrono>
+#include <memory>
 #include <string>
 #include <thread>
 #include <variant>
@@ -387,6 +394,87 @@ TEST_P(ConformanceTest, BatchesReturnToTheirOwner) {
     if (alloc::TrackerAvailable()) {
       EXPECT_EQ(allocs[self], 0u) << "endpoint " << int{self};
     }
+  }
+}
+
+// --- shm name lifecycle: unlinked once every rank has attached ---
+
+// Sends one update from `from` to `to` and polls `to`'s inbox for it.
+bool BatchCrosses(TransportFabric& from_fabric, TransportFabric& to_fabric, NodeId from,
+                  NodeId to) {
+  WireBatchPool tx_pool;
+  WireBatchPool rx_pool;
+  WireBatch batch = tx_pool.Acquire();
+  batch.src = from;
+  batch.Append(Upd(42, 1, from));
+  from_fabric.Deliver(to, std::move(batch), &tx_pool);
+  const auto deadline = Clock::now() + kDeadline;
+  std::vector<WireBatch> got;
+  while (got.empty() && Clock::now() < deadline) {
+    to_fabric.Drain(to, &got, 8, &rx_pool);
+    std::this_thread::sleep_for(std::chrono::microseconds(100));
+  }
+  const bool ok = got.size() == 1 && got[0].size() == 1 &&
+                  std::get<UpdateMsg>(got[0][0]).key == 42;
+  for (WireBatch& b : got) {
+    to_fabric.Release(to, std::move(b), &rx_pool);
+  }
+  return ok;
+}
+
+bool NameUnlinked(const std::string& name) {
+  const int fd = shm_open(name.c_str(), O_RDONLY, 0);
+  if (fd >= 0) {
+    close(fd);
+    return false;
+  }
+  return errno == ENOENT;
+}
+
+TransportOptions ShmOptions(const std::string& tag, int rank) {
+  TransportOptions opts;
+  opts.kind = TransportKind::kShm;
+  opts.rank = rank;
+  opts.shm_name = "/cckvs_name_" + tag + "_" + std::to_string(getpid());
+  opts.shm_ring_bytes = 1 << 16;
+  opts.connect_timeout_ms = 10'000;
+  return opts;
+}
+
+TEST(ShmName, AllInOneUnlinksRightAfterSetUp) {
+  FabricConfig config;
+  config.num_nodes = 2;
+  const TransportOptions opts = ShmOptions("aio", -1);
+  std::string error;
+  std::unique_ptr<TransportFabric> fabric = MakeFabric(config, opts, &error);
+  ASSERT_NE(fabric, nullptr) << error;
+  EXPECT_TRUE(NameUnlinked(opts.shm_name)) << "a killed rack would leak the region";
+  EXPECT_TRUE(BatchCrosses(*fabric, *fabric, 0, 1));
+  fabric->Shutdown();
+}
+
+TEST(ShmName, RankedPairUnlinksOnceTheLastRankAttaches) {
+  FabricConfig config;
+  config.num_nodes = 2;
+  std::unique_ptr<TransportFabric> fabrics[2];
+  std::string errors[2];
+  std::thread ranks[2];
+  for (int r = 0; r < 2; ++r) {
+    ranks[r] = std::thread([&, r] {
+      fabrics[r] = MakeFabric(config, ShmOptions("ranked", r), &errors[r]);
+    });
+  }
+  for (std::thread& t : ranks) {
+    t.join();
+  }
+  ASSERT_NE(fabrics[0], nullptr) << errors[0];
+  ASSERT_NE(fabrics[1], nullptr) << errors[1];
+  EXPECT_TRUE(NameUnlinked(ShmOptions("ranked", 0).shm_name))
+      << "a killed rack would leak the region";
+  EXPECT_TRUE(BatchCrosses(*fabrics[0], *fabrics[1], 0, 1));
+  EXPECT_TRUE(BatchCrosses(*fabrics[1], *fabrics[0], 1, 0));
+  for (auto& f : fabrics) {
+    f->Shutdown();
   }
 }
 

@@ -14,14 +14,24 @@ namespace {
 // Model checker
 // ---------------------------------------------------------------------------
 
+// The explored space is pinned exactly: a refactor of the checker or of the
+// production code it drives must neither narrow nor reshape it unnoticed.
+void ExpectSpace(const ModelCheckerResult& r, std::uint64_t states,
+                 std::uint64_t transitions, std::uint64_t terminals,
+                 std::uint64_t depth) {
+  EXPECT_EQ(r.states_explored, states);
+  EXPECT_EQ(r.transitions, transitions);
+  EXPECT_EQ(r.terminal_states, terminals);
+  EXPECT_EQ(r.max_depth, depth);
+}
+
 TEST(ModelChecker, TwoNodesTwoWrites) {
   ModelCheckerConfig cfg;
   cfg.num_nodes = 2;
   cfg.total_writes = 2;
   const ModelCheckerResult r = CheckLinProtocol(cfg);
   EXPECT_TRUE(r.ok) << r.failure;
-  EXPECT_GT(r.states_explored, 10u);
-  EXPECT_GT(r.terminal_states, 0u);
+  ExpectSpace(r, 97, 130, 11, 8);
 }
 
 TEST(ModelChecker, ThreeNodesTwoWrites) {
@@ -30,7 +40,7 @@ TEST(ModelChecker, ThreeNodesTwoWrites) {
   cfg.total_writes = 2;
   const ModelCheckerResult r = CheckLinProtocol(cfg);
   EXPECT_TRUE(r.ok) << r.failure;
-  EXPECT_GT(r.states_explored, 100u);
+  ExpectSpace(r, 2095, 4935, 30, 14);
 }
 
 TEST(ModelChecker, PaperScaleThreeNodesThreeWrites) {
@@ -41,8 +51,7 @@ TEST(ModelChecker, PaperScaleThreeNodesThreeWrites) {
   cfg.total_writes = 3;
   const ModelCheckerResult r = CheckLinProtocol(cfg);
   EXPECT_TRUE(r.ok) << r.failure;
-  EXPECT_GT(r.states_explored, 1000u);
-  EXPECT_GT(r.max_depth, 10u);
+  ExpectSpace(r, 102806, 341340, 289, 21);
 }
 
 TEST(ModelChecker, Deterministic) {
