@@ -95,6 +95,19 @@ bool NodeCore::TryServeFromL1(Key key, Value* value, Timestamp* ts) {
   return true;
 }
 
+NodeCounters NodeCore::counters() const {
+  NodeCounters c = counts_;
+  if (l1_ != nullptr) {
+    c.l1_fills = l1_->stats().fills;
+    c.l1_invalidations = l1_->stats().invalidations;
+  }
+  if (hot_mgr_ != nullptr) {
+    c.epochs = hot_mgr_->epochs_closed();
+    c.hot_set_churn = hot_mgr_->last_epoch_churn();
+  }
+  return c;
+}
+
 void NodeCore::CompleteOp(const Op& op, Route route, const Value& read_value,
                           Timestamp ts) {
   CCKVS_DCHECK(route == Route::kMiss || route == Route::kCache || route == Route::kL1);

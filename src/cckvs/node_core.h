@@ -26,6 +26,7 @@
 
 #include "src/cache/l1_tail.h"
 #include "src/cache/symmetric_cache.h"
+#include "src/cckvs/counters.h"
 #include "src/common/types.h"
 #include "src/protocol/engine.h"
 #include "src/store/partition.h"
@@ -86,13 +87,6 @@ class NodeCore {
     kCacheBlocked,  // Lin read parked on a transient entry; its callback completes it
     kCacheWrite,    // PUT on a cached key: the host calls StartCacheWrite
     kL1,            // private L1 hit; *value/*ts are filled
-  };
-
-  struct Counts {
-    std::uint64_t completed = 0;
-    std::uint64_t hit_completed = 0;
-    std::uint64_t miss_completed = 0;
-    std::uint64_t l1_hits = 0;  // ops served from the private L1 tail
   };
 
   // `sink` carries the engine's messages; `host` runs epoch transitions.
@@ -158,7 +152,10 @@ class NodeCore {
 
   // --- introspection ---
   bool Caches(Key key) const { return cache_ != nullptr && cache_->Find(key) != nullptr; }
-  const Counts& counts() const { return counts_; }
+  std::uint64_t completed() const { return counts_.completed; }
+  // The table counters this core owns: op completions, the L1 tier's and the
+  // hot-set coordinator's.  The host adds its own (cckvs/counters.h).
+  NodeCounters counters() const;
   const SymmetricCache* cache() const { return cache_.get(); }
   const CoherenceEngine* engine() const { return engine_.get(); }
   const HotSetManager* hot_set_manager() const { return hot_mgr_.get(); }
@@ -183,7 +180,7 @@ class NodeCore {
   std::unique_ptr<FlatSpaceSaving> l1_sketch_;
   std::uint64_t l1_offers_ = 0;  // drives the sketch decay cadence
 
-  Counts counts_;
+  NodeCounters counts_;  // the completion counters CompleteOp bumps
 };
 
 }  // namespace cckvs

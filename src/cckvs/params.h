@@ -6,6 +6,7 @@
 #include <cstdint>
 
 #include "src/cache/replacement.h"
+#include "src/cckvs/counters.h"
 #include "src/common/types.h"
 #include "src/net/network.h"
 #include "src/protocol/engine.h"
@@ -146,11 +147,6 @@ struct RackReport {
   double hit_mrps = 0;   // Figure 9 split
   double miss_mrps = 0;
 
-  // Node-private L1 tail (l1_capacity > 0 runs), summed over nodes.
-  std::uint64_t l1_hits = 0;
-  std::uint64_t l1_fills = 0;
-  std::uint64_t l1_invalidations = 0;
-
   // Latency (client-observed), microseconds.
   double avg_latency_us = 0;
   double p50_latency_us = 0;
@@ -167,15 +163,9 @@ struct RackReport {
   double worker_utilization = 0;
   double kvs_utilization = 0;
 
-  // Consistency traffic message counts (measured window).
-  std::uint64_t updates_sent = 0;
-  std::uint64_t invalidations_sent = 0;
-  std::uint64_t acks_sent = 0;
-  std::uint64_t credit_updates_sent = 0;
-
-  // Epoch machinery (online_topk runs).
-  std::uint64_t epochs = 0;
-  std::uint64_t hot_set_churn = 0;
+  // The RACK rows of the node counter table (cckvs/counters.h), summed over
+  // nodes over the measured window: consistency traffic, epochs, the L1 tail.
+  CCKVS_NODE_COUNTERS(CCKVS_COUNTER_FIELD, CCKVS_COUNTER_SKIP)
 };
 
 }  // namespace cckvs

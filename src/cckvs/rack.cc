@@ -78,13 +78,7 @@ class RackNode final : public MessageSink, public HotSetHost {
   }
 
   struct Snapshot {
-    NodeCore::Counts counts;
-    std::uint64_t updates_sent = 0;
-    std::uint64_t invs_sent = 0;
-    std::uint64_t acks_sent = 0;
-    std::uint64_t credit_updates_sent = 0;
-    std::uint64_t l1_fills = 0;
-    std::uint64_t l1_invalidations = 0;
+    NodeCounters counters;
     SimTime worker_busy = 0;
     SimTime kvs_busy = 0;
   };
@@ -231,10 +225,7 @@ class RackNode final : public MessageSink, public HotSetHost {
   std::vector<CoalesceBuf<RpcRequest>> req_coalesce_;
   std::vector<CoalesceBuf<RpcResponse>> resp_coalesce_;
 
-  std::uint64_t updates_sent_ = 0;
-  std::uint64_t invs_sent_ = 0;
-  std::uint64_t acks_sent_ = 0;
-  std::uint64_t credit_updates_sent_ = 0;
+  NodeCounters counts_;  // the consistency traffic this host sends
   bool draining_ = false;
   Histogram latency_;
 };
@@ -756,13 +747,13 @@ void RackNode::BroadcastUpdate(const UpdateMsg& msg) {
       const SimTime cpu = consistency_qp_->PostMulticast(
           MakeWr(/*dst=*/0, kQpConsistency, TrafficClass::kUpdate, body, payload), dsts);
       workers_->Submit(cpu, nullptr);
-      updates_sent_ += dsts.size();
+      counts_.updates_sent += dsts.size();
       return;
     }
   }
 
   BroadcastConsistency(TrafficClass::kUpdate, payload, body);
-  updates_sent_ += p.num_nodes - 1;
+  counts_.updates_sent += p.num_nodes - 1;
 }
 
 void RackNode::BroadcastInvalidate(const InvalidateMsg& msg) {
@@ -773,7 +764,7 @@ void RackNode::BroadcastInvalidate(const InvalidateMsg& msg) {
   auto body = std::make_shared<Buffer>();
   Serialize(msg, body.get());
   BroadcastConsistency(TrafficClass::kInvalidation, p.wire.invalidation_payload, body);
-  invs_sent_ += p.num_nodes - 1;
+  counts_.invalidations_sent += p.num_nodes - 1;
 }
 
 void RackNode::SendAck(NodeId to, const AckMsg& msg) {
@@ -783,7 +774,7 @@ void RackNode::SendAck(NodeId to, const AckMsg& msg) {
   Serialize(msg, body.get());
   PostConsistency({MakeWr(to, kQpConsistency, TrafficClass::kAck, std::move(body),
                           params().wire.ack_payload)});
-  ++acks_sent_;
+  ++counts_.acks_sent;
 }
 
 void RackNode::DrainPendingBcast(NodeId peer) {
@@ -808,7 +799,7 @@ void RackNode::MaybeSendCreditUpdate(NodeId peer) {
   wr.header_bytes = params().wire.CreditUpdateWire();  // header-only message
   const SimTime cpu = credit_qp_->PostSendBatch({wr});
   workers_->Submit(cpu, nullptr);
-  ++credit_updates_sent_;
+  ++counts_.credit_updates_sent;
 }
 
 // ---------------------------------------------------------------------------
@@ -1004,15 +995,8 @@ void RackNode::HandleFills(const Datagram& dg) {
 
 RackNode::Snapshot RackNode::TakeSnapshot() const {
   Snapshot s;
-  s.counts = core_.counts();
-  s.updates_sent = updates_sent_;
-  s.invs_sent = invs_sent_;
-  s.acks_sent = acks_sent_;
-  s.credit_updates_sent = credit_updates_sent_;
-  if (const L1TailCache* l1 = core_.l1(); l1 != nullptr) {
-    s.l1_fills = l1->stats().fills;
-    s.l1_invalidations = l1->stats().invalidations;
-  }
+  s.counters = core_.counters();
+  s.counters += counts_;
   s.worker_busy = workers_->busy_time();
   for (const auto& pool : kvs_pools_) {
     s.kvs_busy += pool->busy_time();
@@ -1030,7 +1014,6 @@ struct RackSimulation::Counters {
   std::vector<std::uint64_t> class_payload_bytes;
   std::uint64_t total_tx_bytes = 0;
   SimTime at = 0;
-  std::uint64_t epochs = 0;
 };
 
 RackSimulation::RackSimulation(const RackParams& params) : params_(params) {
@@ -1090,9 +1073,7 @@ RackReport RackSimulation::Run(SimTime measure_ns, SimTime warmup_ns, bool drain
   // Snapshot at the end of warmup.
   at_warmup_ = std::make_unique<Counters>();
   const int num_classes = static_cast<int>(TrafficClass::kNumClasses);
-  const HotSetManager* coord = nodes_[0]->core().hot_set_manager();
   at_warmup_->at = sim_.now();
-  at_warmup_->epochs = coord != nullptr ? coord->epochs_closed() : 0;
   for (auto& node : nodes_) {
     at_warmup_->nodes.push_back(node->TakeSnapshot());
     node->ResetLatency();
@@ -1117,25 +1098,12 @@ RackReport RackSimulation::Run(SimTime measure_ns, SimTime warmup_ns, bool drain
   for (std::size_t i = 0; i < nodes_.size(); ++i) {
     const RackNode::Snapshot now = nodes_[i]->TakeSnapshot();
     const RackNode::Snapshot& base = at_warmup_->nodes[i];
-    NodeCore::Counts& c = totals.counts;
-    c.completed += now.counts.completed - base.counts.completed;
-    c.hit_completed += now.counts.hit_completed - base.counts.hit_completed;
-    c.miss_completed += now.counts.miss_completed - base.counts.miss_completed;
-    c.l1_hits += now.counts.l1_hits - base.counts.l1_hits;
-    totals.updates_sent += now.updates_sent - base.updates_sent;
-    totals.invs_sent += now.invs_sent - base.invs_sent;
-    totals.acks_sent += now.acks_sent - base.acks_sent;
-    totals.credit_updates_sent += now.credit_updates_sent - base.credit_updates_sent;
-    totals.l1_fills += now.l1_fills - base.l1_fills;
-    totals.l1_invalidations += now.l1_invalidations - base.l1_invalidations;
+    totals.counters += now.counters - base.counters;
     totals.worker_busy += now.worker_busy - base.worker_busy;
     totals.kvs_busy += now.kvs_busy - base.kvs_busy;
     latency.Merge(nodes_[i]->latency());
   }
-
-  FillThroughput(totals.counts.completed, totals.counts.hit_completed,
-                 totals.counts.miss_completed, duration_ns, &report);
-  FillLatency(latency, &report);
+  FillReport(totals.counters, duration_ns, latency, &report);
 
   const double n = static_cast<double>(params_.num_nodes);
   double header_bytes = 0;
@@ -1161,16 +1129,6 @@ RackReport RackSimulation::Run(SimTime measure_ns, SimTime warmup_ns, bool drain
                               (duration_ns * n * params_.cache_threads);
   report.kvs_utilization = static_cast<double>(totals.kvs_busy) /
                            (duration_ns * n * params_.kvs_threads);
-
-  report.updates_sent = totals.updates_sent;
-  report.invalidations_sent = totals.invs_sent;
-  report.acks_sent = totals.acks_sent;
-  report.credit_updates_sent = totals.credit_updates_sent;
-  report.epochs = coord != nullptr ? coord->epochs_closed() - at_warmup_->epochs : 0;
-  report.hot_set_churn = coord != nullptr ? coord->last_epoch_churn() : 0;
-  report.l1_hits = totals.counts.l1_hits;
-  report.l1_fills = totals.l1_fills;
-  report.l1_invalidations = totals.l1_invalidations;
 
   // Drain: stop issuing client operations and let everything in flight finish,
   // so recorded histories are complete and final state is quiescent.  The

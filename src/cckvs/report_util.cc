@@ -4,26 +4,25 @@
 
 namespace cckvs {
 
-void FillThroughput(std::uint64_t completed, std::uint64_t hit_completed,
-                    std::uint64_t miss_completed, double duration_ns,
-                    RackReport* report) {
-  report->completed = completed;
-  if (duration_ns <= 0) {
-    return;
+void FillReport(const NodeCounters& totals, double duration_ns,
+                const Histogram& latency, RackReport* report) {
+  report->completed = totals.completed;
+  if (duration_ns > 0) {
+    report->mrps = static_cast<double>(totals.completed) / duration_ns * 1e3;
+    report->hit_mrps = static_cast<double>(totals.hit_completed) / duration_ns * 1e3;
+    report->miss_mrps = static_cast<double>(totals.miss_completed) / duration_ns * 1e3;
+    report->hit_rate = totals.completed == 0
+                           ? 0.0
+                           : static_cast<double>(totals.hit_completed) /
+                                 static_cast<double>(totals.completed);
   }
-  report->mrps = static_cast<double>(completed) / duration_ns * 1e3;
-  report->hit_mrps = static_cast<double>(hit_completed) / duration_ns * 1e3;
-  report->miss_mrps = static_cast<double>(miss_completed) / duration_ns * 1e3;
-  report->hit_rate = completed == 0 ? 0.0
-                                    : static_cast<double>(hit_completed) /
-                                          static_cast<double>(completed);
-}
-
-void FillLatency(const Histogram& latency, RackReport* report) {
   report->avg_latency_us = latency.Mean() / 1e3;
   report->p50_latency_us = static_cast<double>(latency.P50()) / 1e3;
   report->p95_latency_us = static_cast<double>(latency.P95()) / 1e3;
   report->p99_latency_us = static_cast<double>(latency.P99()) / 1e3;
+#define CCKVS_COUNTER_COPY(name, kind, unit, doc) report->name = totals.name;
+  CCKVS_NODE_COUNTERS(CCKVS_COUNTER_COPY, CCKVS_COUNTER_SKIP)
+#undef CCKVS_COUNTER_COPY
 }
 
 std::vector<std::pair<std::string, double>> ReportFields(const RackReport& r) {
@@ -47,15 +46,10 @@ std::vector<std::pair<std::string, double>> ReportFields(const RackReport& r) {
   }
   f.emplace_back("worker_utilization", r.worker_utilization);
   f.emplace_back("kvs_utilization", r.kvs_utilization);
-  f.emplace_back("updates_sent", static_cast<double>(r.updates_sent));
-  f.emplace_back("invalidations_sent", static_cast<double>(r.invalidations_sent));
-  f.emplace_back("acks_sent", static_cast<double>(r.acks_sent));
-  f.emplace_back("credit_updates_sent", static_cast<double>(r.credit_updates_sent));
-  f.emplace_back("epochs", static_cast<double>(r.epochs));
-  f.emplace_back("hot_set_churn", static_cast<double>(r.hot_set_churn));
-  f.emplace_back("l1_hits", static_cast<double>(r.l1_hits));
-  f.emplace_back("l1_fills", static_cast<double>(r.l1_fills));
-  f.emplace_back("l1_invalidations", static_cast<double>(r.l1_invalidations));
+#define CCKVS_COUNTER_JSON(name, kind, unit, doc) \
+  f.emplace_back(#name, static_cast<double>(r.name));
+  CCKVS_NODE_COUNTERS(CCKVS_COUNTER_JSON, CCKVS_COUNTER_SKIP)
+#undef CCKVS_COUNTER_JSON
   return f;
 }
 

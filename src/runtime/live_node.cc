@@ -126,7 +126,7 @@ void LiveNode::Run(StopToken stop) {
               ((static_cast<std::uint64_t>(parked_sc_writes_.size()) & 0xffff) << 16) |
               ((static_cast<std::uint64_t>(rpc_outstanding_) & 0xffff) << 32) |
               ((static_cast<std::uint64_t>(idle_sessions_) & 0xffff) << 48);
-          tracer_->Instant(SpanKind::kStateDump, 0, 0, core_.counts().completed, a1);
+          tracer_->Instant(SpanKind::kStateDump, 0, 0, core_.completed(), a1);
         }
         if (debug_state) {
           std::fprintf(stderr,
@@ -138,7 +138,7 @@ void LiveNode::Run(StopToken stop) {
                        rpc_outstanding_,
                        LocallyQuiescent(), !ep_->NothingPending(),
                        core_.engine()->Quiescent(),
-                       static_cast<unsigned long long>(core_.counts().completed),
+                       static_cast<unsigned long long>(core_.completed()),
                        static_cast<unsigned long long>(ep_->data_sent()),
                        static_cast<unsigned long long>(ep_->data_processed()),
                        term_round_, round_open_, round_status_.size());
@@ -148,7 +148,7 @@ void LiveNode::Run(StopToken stop) {
     if (rack_->transport().fabric().faulted()) {
       // A fabric fault (peer hangup mid-frame, undecodable frame) cannot heal;
       // bail out so the run reports the error instead of hanging on drain.
-      return;
+      break;
     }
     const std::size_t processed = PollInbound(kPollBatch);
     ep_->FlushPending();       // credits may have come back
@@ -158,7 +158,7 @@ void LiveNode::Run(StopToken stop) {
 
     bool issued = false;
     if (!halted_) {
-      if (stop.StopRequested() || core_.counts().completed >= quota_) {
+      if (stop.StopRequested() || core_.completed() >= quota_) {
         halted_ = true;
       } else {
         issued = FillIdleSessions();
@@ -176,7 +176,7 @@ void LiveNode::Run(StopToken stop) {
     ep_->FlushBatches(FlushCause::kBoundary);
 
     if (StepTermination()) {
-      return;  // the rack is globally quiescent: histories are sealed
+      break;  // the rack is globally quiescent: histories are sealed
     }
 
     PublishCounters();
@@ -201,6 +201,12 @@ void LiveNode::Run(StopToken stop) {
       }
     }
   }
+  // Whatever ended the loop, the report and the profiler's final sample see
+  // everything this node did, the halt and the last flush included.
+  counters_ = CollectCounters();
+  if (pub_ != nullptr) {
+    pub_->Store(counters_);
+  }
 }
 
 void LiveNode::PollAllocWindow() {
@@ -210,7 +216,7 @@ void LiveNode::PollAllocWindow() {
   if (!alloc_window_open_) {
     // Warmup: the first quarter of the quota grows every buffer, pool and
     // freelist to its steady-state capacity; only what comes after counts.
-    if (!halted_ && core_.counts().completed >= quota_ / 4) {
+    if (!halted_ && core_.completed() >= quota_ / 4) {
       alloc_window_open_ = true;
       alloc::ResetThread();
       alloc::EnableThread();
@@ -219,39 +225,51 @@ void LiveNode::PollAllocWindow() {
   }
   if (halted_) {
     alloc::DisableThread();
-    hot_path_allocs_ = alloc::ThreadCount();
     alloc_window_open_ = false;
     alloc_window_done_ = true;
     if (rack_->params().alloc_assert && alloc::TrackerAvailable()) {
-      CCKVS_CHECK_EQ(hot_path_allocs_, 0u);
+      CCKVS_CHECK_EQ(alloc::ThreadCount(), 0u);
     }
   }
 }
 
+NodeCounters LiveNode::CollectCounters() const {
+  NodeCounters c = core_.counters();
+  c += counts_;
+  c.msgs_sent = ep_->coalescer().messages_sent();
+  c.batches_sent = ep_->coalescer().batches_sent();
+  c.flushes_size = ep_->coalescer().flushes(FlushCause::kSize);
+  c.flushes_boundary = ep_->coalescer().flushes(FlushCause::kBoundary);
+  c.flushes_idle = ep_->coalescer().flushes(FlushCause::kIdle);
+  c.flushes_deadline = ep_->coalescer().flushes(FlushCause::kDeadline);
+  c.updates_sent = ep_->updates_sent();
+  c.invalidations_sent = ep_->invalidations_sent();
+  c.acks_sent = ep_->acks_sent();
+  c.credit_updates_sent = ep_->credit_returns();
+  c.epoch_msgs = ep_->epoch_msgs_sent();
+  c.credit_parks = ep_->credit_parks();
+  c.channel_messages = ep_->messages_received();
+  c.channel_batches = ep_->batches_received();
+  c.channel_full_waits = ep_->full_waits();
+  c.wakeups = ep_->wakeups();
+  c.updates_collapsed = ep_->updates_collapsed();
+  c.inbound_depth = rack_->transport().fabric().InboundDepth(id_);
+  c.store_read_retries = partition_->stats().read_retries;
+  const SlabAllocator::Stats slab = partition_->slab_stats();
+  c.slab_live_slots = slab.live_slots;
+  c.slab_arena_bytes = slab.arena_bytes;
+  c.hot_path_allocs = track_allocs_ ? alloc::ThreadCount() : 0;
+  if (tracer_ != nullptr) {
+    c.spans_recorded = tracer_->ring().recorded();
+    c.spans_dropped = tracer_->ring().dropped();
+  }
+  return c;
+}
+
 void LiveNode::PublishCounters() {
-  if (pub_ == nullptr) {
-    return;
+  if (pub_ != nullptr) {
+    pub_->Store(CollectCounters());
   }
-  WorkerCounters& w = *pub_;
-  const auto relaxed = std::memory_order_relaxed;
-  const NodeCore::Counts& counts = core_.counts();
-  w.ops.store(counts.completed, relaxed);
-  w.hits.store(counts.hit_completed, relaxed);
-  w.misses.store(counts.miss_completed, relaxed);
-  w.rpcs.store(rpcs_sent_, relaxed);
-  w.msgs_sent.store(ep_->coalescer().messages_sent(), relaxed);
-  w.batches_sent.store(ep_->coalescer().batches_sent(), relaxed);
-  w.flush_size.store(ep_->coalescer().flushes(FlushCause::kSize), relaxed);
-  w.flush_boundary.store(ep_->coalescer().flushes(FlushCause::kBoundary), relaxed);
-  w.flush_idle.store(ep_->coalescer().flushes(FlushCause::kIdle), relaxed);
-  w.flush_deadline.store(ep_->coalescer().flushes(FlushCause::kDeadline), relaxed);
-  if (const L1TailCache* l1 = core_.l1(); l1 != nullptr) {
-    w.l1_hits.store(counts.l1_hits, relaxed);
-    w.l1_invalidations.store(l1->stats().invalidations, relaxed);
-    w.l1_fills.store(l1->stats().fills, relaxed);
-  }
-  w.allocs.store(track_allocs_ ? alloc::ThreadCount() : 0, relaxed);
-  w.inbound_depth.store(rack_->transport().fabric().InboundDepth(id_), relaxed);
 }
 
 std::size_t LiveNode::PollInbound(std::size_t max) {
@@ -496,7 +514,7 @@ void LiveNode::RouteOp(std::uint32_t slot) {
           !ep_->AllPeersHaveCredit()) {
         // SC writes complete as soon as the update broadcast is posted, so
         // posting is the throttle point (§6.3): no credits, the op waits.
-        ++sc_credit_stalls_;
+        ++counts_.sc_credit_stalls;
         if (sess.trace_id != 0 && sess.credit_park_cycles == 0) {
           sess.credit_park_cycles = CycleNow();
         }
@@ -550,7 +568,7 @@ void LiveNode::RouteMissOp(std::uint32_t slot) {
 
 void LiveNode::ParkGated(std::uint32_t slot, std::uint64_t stamp) {
   if (!retrying_gated_) {
-    ++gate_retries_;
+    ++counts_.gate_retries;
   }
   Session& sess = sessions_[slot];
   if (sess.trace_id != 0 && sess.park_cycles == 0) {
@@ -609,7 +627,7 @@ void LiveNode::SendRpc(std::uint32_t slot) {
   ep_->SendDirect(rack_->HomeOf(sess.op.key), WireBody{std::move(req)});
   rpc_waiting_[slot] = 1;
   ++rpc_outstanding_;
-  ++rpcs_sent_;
+  ++counts_.rpcs_sent;
 }
 
 void LiveNode::ServeRpc(NodeId src, const RpcRequest& req) {

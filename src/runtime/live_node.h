@@ -61,20 +61,9 @@ class LiveNode final : private HotSetHost {
   const Partition& partition() const { return *partition_; }
 
   // --- post-join introspection (owning thread has exited) ---
-  // Completion counts (completed/hit/miss/L1 hits) come from the node core;
-  // the rest are the live host's own.
-  struct Counters : NodeCore::Counts {
-    std::uint64_t sc_credit_stalls = 0;
-    std::uint64_t gate_retries = 0;  // shard ops parked on the residency gate
-    std::uint64_t rpcs_sent = 0;     // ranked mode: remote-home misses over RPC
-  };
-  Counters counters() const {
-    return Counters{core_.counts(), sc_credit_stalls_, gate_retries_, rpcs_sent_};
-  }
-  // Operator-new count inside the steady-state measurement window (0 when
-  // params.track_allocs is off or the tracker is compiled out; see
-  // common/alloc_tracker.h).
-  std::uint64_t hot_path_allocs() const { return hot_path_allocs_; }
+  // The node's table counters as its thread left Run (cckvs/counters.h).
+  using Counters = NodeCounters;
+  const Counters& counters() const { return counters_; }
   const Histogram& latency() const { return latency_; }
   const std::vector<HistoryOp>& history_ops() const { return history_; }
   const SymmetricCache& cache() const { return *core_.cache(); }
@@ -168,6 +157,10 @@ class LiveNode final : private HotSetHost {
   // Strictly increasing per-thread history clock (ties would make the
   // checkers' per-session invoke sort ambiguous).
   SimTime NowTs();
+  // Reads every counter source of this node into one NodeCounters: the
+  // core's, the host's own, the endpoint's, the shard's, the allocation
+  // audit's (a thread-local count, so only the node thread may call this).
+  NodeCounters CollectCounters() const;
   // Refreshes this node's WorkerCounters block (relaxed stores; profiler.h).
   void PublishCounters();
   // Opens/closes the steady-state allocation window (track_allocs_ runs).
@@ -235,7 +228,6 @@ class LiveNode final : private HotSetHost {
   bool track_allocs_ = false;
   bool alloc_window_open_ = false;
   bool alloc_window_done_ = false;
-  std::uint64_t hot_path_allocs_ = 0;
 
   // Reused read buffer for the miss path and cache-read path; the seqlock
   // copy-out and the synthesizer both resize into it, reusing its capacity.
@@ -269,9 +261,8 @@ class LiveNode final : private HotSetHost {
   std::unordered_map<Key, std::pair<std::uint64_t, std::uint64_t>>
       gate_spans_;  // gated key -> {raise stamp, epoch}
 
-  std::uint64_t sc_credit_stalls_ = 0;
-  std::uint64_t gate_retries_ = 0;
-  std::uint64_t rpcs_sent_ = 0;
+  NodeCounters counts_;    // the counters this host bumps itself
+  NodeCounters counters_;  // CollectCounters() as the thread left Run
   Histogram latency_;
   std::vector<HistoryOp> history_;
   SimTime last_ts_ = 0;

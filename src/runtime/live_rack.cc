@@ -185,8 +185,7 @@ LiveReport LiveRack::Run() {
       if (params_.pinning) {
         // In ranked mode `i` is the global node id, so ranks sharing a host
         // land on distinct cores without coordination.
-        PinCurrentThreadToCore(params_.pin_core_base +
-                               static_cast<int>(i) * params_.pin_stride);
+        PinCurrentThreadToCore(static_cast<int>(i));
       }
       node->Run(token);
     });
@@ -205,66 +204,24 @@ LiveReport LiveRack::Run() {
   LiveReport report;
   report.wall_seconds = wall_seconds;
 
-  std::uint64_t hit = 0;
-  std::uint64_t miss = 0;
+  NodeCounters totals;
   Histogram latency;
-  for (int i = 0; i < params_.num_nodes; ++i) {
-    if (nodes_[static_cast<std::size_t>(i)] == nullptr) {
+  for (std::size_t i = 0; i < nodes_.size(); ++i) {
+    if (nodes_[i] == nullptr) {
       continue;  // ranked: remote ranks report from their own process
     }
-    const LiveNode& node = *nodes_[static_cast<std::size_t>(i)];
-    const LiveNode::Counters& c = node.counters();
-    report.completed += c.completed;
-    hit += c.hit_completed;
-    miss += c.miss_completed;
-    report.sc_credit_stalls += c.sc_credit_stalls;
-    report.gate_retries += c.gate_retries;
-    report.rpcs_sent += c.rpcs_sent;
-    report.rack.l1_hits += c.l1_hits;
-    if (const L1TailCache* l1 = node.l1(); l1 != nullptr) {
-      report.rack.l1_fills += l1->stats().fills;
-      report.rack.l1_invalidations += l1->stats().invalidations;
-    }
-    report.hot_path_allocs += node.hot_path_allocs();
+    const LiveNode& node = *nodes_[i];
+    totals += node.counters();
     latency.Merge(node.latency());
     AddEngineStats(node.engine().stats(), &report.engine_totals);
-
-    const LiveTransport::Endpoint& ep = transport_.endpoint(static_cast<NodeId>(i));
-    report.channel_messages += ep.messages_received();
-    report.channel_batches += ep.batches_received();
-    report.channel_full_waits += ep.full_waits();
-    report.credit_parks += ep.credit_parks();
-    report.wakeups += ep.wakeups();
-    report.batches_sent += ep.coalescer().batches_sent();
-    report.flushes_size += ep.coalescer().flushes(FlushCause::kSize);
-    report.flushes_boundary += ep.coalescer().flushes(FlushCause::kBoundary);
-    report.flushes_idle += ep.coalescer().flushes(FlushCause::kIdle);
-    report.flushes_deadline += ep.coalescer().flushes(FlushCause::kDeadline);
-    report.updates_collapsed += ep.updates_collapsed();
-    report.batch_sizes.Merge(ep.coalescer().batch_sizes());
-    report.epoch_msgs += ep.epoch_msgs_sent();
-    report.rack.updates_sent += ep.updates_sent();
-    report.rack.invalidations_sent += ep.invalidations_sent();
-    report.rack.acks_sent += ep.acks_sent();
-    report.rack.credit_updates_sent += ep.credit_returns();
-
-    const PartitionStats ps = node.partition().stats();
-    report.store_read_retries += ps.read_retries;
-    const SlabAllocator::Stats ss = node.partition().slab_stats();
-    report.slab_live_slots += ss.live_slots;
-    report.slab_arena_bytes += ss.arena_bytes;
+    report.batch_sizes.Merge(
+        transport_.endpoint(static_cast<NodeId>(i)).coalescer().batch_sizes());
   }
-
   report.rack.duration_s = wall_seconds;
-  FillThroughput(report.completed, hit, miss, wall_seconds * 1e9, &report.rack);
-  FillLatency(latency, &report.rack);
-
-  if (nodes_[0] != nullptr) {
-    if (const HotSetManager* coord = nodes_[0]->hot_set_manager(); coord != nullptr) {
-      report.rack.epochs = coord->epochs_closed();
-      report.rack.hot_set_churn = coord->last_epoch_churn();
-    }
-  }
+  FillReport(totals, wall_seconds * 1e9, latency, &report.rack);
+#define CCKVS_COUNTER_COPY(name, kind, unit, doc) report.name = totals.name;
+  CCKVS_NODE_COUNTERS(CCKVS_COUNTER_SKIP, CCKVS_COUNTER_COPY)
+#undef CCKVS_COUNTER_COPY
 
   if (params_.record_history) {
     for (auto& node : nodes_) {
@@ -285,8 +242,6 @@ LiveReport LiveRack::Run() {
     std::vector<const Tracer*> tracers;
     for (const auto& t : tracers_) {
       if (t != nullptr) {
-        report.spans_recorded += t->ring().recorded();
-        report.spans_dropped += t->ring().dropped();
         tracers.push_back(t.get());
       }
     }

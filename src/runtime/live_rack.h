@@ -106,12 +106,8 @@ struct LiveRackParams {
   std::uint64_t seed = 1;
 
   // --- hot-path execution mode (docs/PERFORMANCE.md) ---
-  // Pin node thread i to core pin_core_base + i*pin_stride (modulo the online
-  // CPU count).  NUMA-aware when built with libnuma; a plain affinity mask
-  // otherwise.
+  // Pin node thread i to core i (modulo the online CPU count).
   bool pinning = false;
-  int pin_core_base = 0;
-  int pin_stride = 1;
   // Replace the idle park (WaitForTraffic) with a bounded spin: lowest
   // latency, one core at 100% per node.  The coalescer's deadline flush is
   // polled every spin, so held batches still ship on time.

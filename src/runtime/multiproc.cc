@@ -16,7 +16,7 @@ namespace {
 
 // Bump when the blob layout changes; decode rejects mismatches outright
 // (mixed-version racks would disagree on protocol parameters anyway).
-constexpr std::uint8_t kParamsVersion = 5;  // v5: idle-flush/stderr knobs gone
+constexpr std::uint8_t kParamsVersion = 6;  // v6: pin base/stride knobs gone
 constexpr std::uint64_t kArtifactsMagic = 0x63634b565241'01ull;  // "ccKVRA" v1
 
 std::uint64_t DoubleBits(double d) {
@@ -129,8 +129,6 @@ std::string EncodeRackParams(const LiveRackParams& p) {
   w.PutU32(static_cast<std::uint32_t>(p.transport.connect_timeout_ms));
   w.PutU64(p.clock_epoch_ns);
   w.PutU8(p.pinning ? 1 : 0);
-  w.PutU32(static_cast<std::uint32_t>(p.pin_core_base));
-  w.PutU32(static_cast<std::uint32_t>(p.pin_stride));
   w.PutU8(p.busy_poll ? 1 : 0);
   w.PutU8(p.profile ? 1 : 0);
   w.PutU64(p.profile_interval_ms);
@@ -201,8 +199,6 @@ bool DecodeRackParams(const std::string& hex, LiveRackParams* out, std::string* 
       r.GetU32(&u32) && ((p.transport.connect_timeout_ms = static_cast<int>(u32)), true) &&
       r.GetU64(&p.clock_epoch_ns) &&
       r.GetU8(&u8) && ((p.pinning = u8 != 0), true) &&
-      r.GetU32(&u32) && ((p.pin_core_base = static_cast<int>(u32)), true) &&
-      r.GetU32(&u32) && ((p.pin_stride = static_cast<int>(u32)), true) &&
       r.GetU8(&u8) && ((p.busy_poll = u8 != 0), true) &&
       r.GetU8(&u8) && ((p.profile = u8 != 0), true) &&
       r.GetU64(&p.profile_interval_ms) &&

@@ -1,21 +1,14 @@
 // Live profiling subsystem (ScaleStore-style counter thread).
 //
-// Every node thread owns a WorkerCounters block and refreshes it once per
-// run-loop iteration with relaxed stores — no locks, no allocation, nothing
-// the hot path has to wait for.  A single background Profiler thread samples
-// all blocks once per interval, turns the flow counters into per-interval
-// deltas (ops/s, messages/s, flush causes) and reads the gauges (hot-path
-// allocation count, inbound ring occupancy) as-is, then emits one CSV row per
-// node per interval.  The samples are also retained in memory and folded into
-// LiveReport, so a bench run gets the full time series, not just totals.
-//
-// Counter taxonomy:
-//   flow   — monotonically increasing; the profiler reports interval deltas.
-//            ops, hits, misses, rpcs, msgs_sent, batches_sent, flush_*.
-//   gauge  — instantaneous; reported verbatim.
-//            allocs (operator-new count inside the node's measurement window,
-//            see common/alloc_tracker.h), inbound_depth (fabric occupancy:
-//            batches for inproc/socket, bytes for shm).
+// Every node thread owns a WorkerCounters block and refreshes it with relaxed
+// stores once per run-loop iteration, and once more as it exits — no locks,
+// no allocation, nothing the hot path has to wait for.  A single background
+// Profiler thread samples all blocks once per interval, turns the flow
+// counters into per-interval deltas and reads the gauges as-is, then emits
+// one CSV row per node per interval.  The samples are also retained in memory
+// and folded into LiveReport, so a bench run gets the full time series, not
+// just totals.  The counters, their kinds and the CSV columns are the node
+// counter table (cckvs/counters.h); docs/OBSERVABILITY.md lists it.
 //
 // Threading: node threads are the only writers of their block; the profiler
 // thread only loads.  All accesses are relaxed — a sample is a snapshot of
@@ -25,6 +18,7 @@
 #ifndef CCKVS_RUNTIME_PROFILER_H_
 #define CCKVS_RUNTIME_PROFILER_H_
 
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
@@ -35,51 +29,37 @@
 #include <thread>
 #include <vector>
 
+#include "src/cckvs/counters.h"
+
 namespace cckvs {
 
-// One per node thread.  The owning thread calls Publish-style relaxed stores;
-// the profiler thread reads.  Atomics make the struct non-movable, so hosts
-// size their vector once up front.
-struct WorkerCounters {
-  // Flow counters (monotonic).
-  std::atomic<std::uint64_t> ops{0};
-  std::atomic<std::uint64_t> hits{0};
-  std::atomic<std::uint64_t> misses{0};
-  std::atomic<std::uint64_t> rpcs{0};
-  std::atomic<std::uint64_t> msgs_sent{0};
-  std::atomic<std::uint64_t> batches_sent{0};
-  std::atomic<std::uint64_t> flush_size{0};
-  std::atomic<std::uint64_t> flush_boundary{0};
-  std::atomic<std::uint64_t> flush_idle{0};
-  std::atomic<std::uint64_t> flush_deadline{0};
-  std::atomic<std::uint64_t> l1_hits{0};
-  std::atomic<std::uint64_t> l1_invalidations{0};
-  std::atomic<std::uint64_t> l1_fills{0};
-  // Gauges (instantaneous).
-  std::atomic<std::uint64_t> allocs{0};
-  std::atomic<std::uint64_t> inbound_depth{0};
+// One per node thread: an atomic slot per table counter.  Atomics make the
+// block non-movable, so hosts size their vector once up front.
+class WorkerCounters {
+ public:
+  void Store(const NodeCounters& c) {
+    for (std::size_t i = 0; i < kNumNodeCounters; ++i) {
+      slots_[i].store(c.*kNodeCounters[i].field, std::memory_order_relaxed);
+    }
+  }
+  NodeCounters Load() const {
+    NodeCounters c;
+    for (std::size_t i = 0; i < kNumNodeCounters; ++i) {
+      c.*kNodeCounters[i].field = slots_[i].load(std::memory_order_relaxed);
+    }
+    return c;
+  }
+
+ private:
+  std::array<std::atomic<std::uint64_t>, kNumNodeCounters> slots_{};
 };
 
 // One row of the time series: node `node` over the interval ending `ts_ms`
-// after profiling started.  Flow fields are interval deltas; gauges verbatim.
+// after profiling started.  Flow counters are interval deltas; gauges verbatim.
 struct ProfilerSample {
   std::uint64_t ts_ms = 0;
   int node = 0;
-  std::uint64_t ops = 0;
-  std::uint64_t hits = 0;
-  std::uint64_t misses = 0;
-  std::uint64_t rpcs = 0;
-  std::uint64_t msgs_sent = 0;
-  std::uint64_t batches_sent = 0;
-  std::uint64_t flush_size = 0;
-  std::uint64_t flush_boundary = 0;
-  std::uint64_t flush_idle = 0;
-  std::uint64_t flush_deadline = 0;
-  std::uint64_t l1_hits = 0;
-  std::uint64_t l1_invalidations = 0;
-  std::uint64_t l1_fills = 0;
-  std::uint64_t allocs = 0;
-  std::uint64_t inbound_depth = 0;
+  NodeCounters counters;
 };
 
 // Header matching ProfilerSample's CSV serialization.
@@ -113,7 +93,7 @@ class Profiler {
 
   Options options_;
   const std::vector<WorkerCounters>* counters_;
-  std::vector<ProfilerSample> prev_;  // previous totals, for flow deltas
+  std::vector<NodeCounters> prev_;  // previous totals, for flow deltas
   std::vector<ProfilerSample> samples_;
   std::FILE* csv_ = nullptr;
   std::thread thread_;

@@ -1,11 +1,9 @@
 // Result of a LiveRack run.
 //
-// The shared report shape (throughput, hit rate, latency percentiles,
-// consistency-message counts) lives in the embedded RackReport so live runs
-// and simulator runs are directly comparable — bench/live_throughput.cpp
-// prints them side by side.  Live-only observables (wall-clock time, channel
-// and credit behaviour, transport coalescing, store/slab counters) ride
-// alongside.
+// The shared report shape (throughput, hit rate, latency percentiles, the
+// RACK counter rows) lives in the embedded RackReport so live runs and
+// simulator runs are directly comparable.  Live-only observables (wall-clock
+// time, the LIVE counter rows, engine stats, batch sizes) ride alongside.
 
 #ifndef CCKVS_RUNTIME_REPORT_H_
 #define CCKVS_RUNTIME_REPORT_H_
@@ -25,57 +23,27 @@ struct LiveReport {
   RackReport rack;  // mrps here means measured live Mops/s
 
   double wall_seconds = 0;
-  std::uint64_t completed = 0;
+
+  // The LIVE rows of the node counter table (cckvs/counters.h), summed over
+  // this process's nodes: completions, transport and coalescing, hot-set and
+  // store counters, the allocation audit and tracing.  In a ranked rack they
+  // cover the LOCAL rank only (merge across ranks for rack totals).
+  CCKVS_NODE_COUNTERS(CCKVS_COUNTER_SKIP, CCKVS_COUNTER_FIELD)
 
   // Aggregated over all node engines.
   EngineStats engine_totals;
+  Histogram batch_sizes;  // messages per shipped batch
 
-  // Transport behaviour.
-  std::uint64_t channel_messages = 0;
-  std::uint64_t channel_batches = 0;     // channel pushes; == messages uncoalesced
-  std::uint64_t channel_full_waits = 0;  // nonzero = credit sizing was violated
-  std::uint64_t credit_parks = 0;        // broadcasts parked waiting for credits
-  std::uint64_t sc_credit_stalls = 0;    // SC write-hits parked at the throttle
-  std::uint64_t wakeups = 0;             // receiver wakeups (≤ batches pushed)
-
-  // Coalescing subsystem (runtime/coalescer.h).
-  std::uint64_t batches_sent = 0;        // == channel_batches, sender view
-  std::uint64_t flushes_size = 0;        // batches closed by the max_batch cap
-  std::uint64_t flushes_boundary = 0;    // batches closed at an op boundary
-  std::uint64_t flushes_idle = 0;        // backstop flushes (0 in a healthy run)
-  std::uint64_t flushes_deadline = 0;    // sub-cap batches held to the deadline
-  std::uint64_t updates_collapsed = 0;   // receive-side same-key run collapses
-  Histogram batch_sizes;                 // messages per shipped batch
-
-  // Hot-set subsystem (online_topk runs; epochs/churn ride in rack.*).
-  std::uint64_t epoch_msgs = 0;    // announces + fills + install confirmations
-  std::uint64_t gate_retries = 0;  // misses parked on the shard residency gate
-
-  // Store behaviour across all shards (CRCW seqlock path).
-  std::uint64_t store_read_retries = 0;
-  std::uint64_t slab_live_slots = 0;
-  std::uint64_t slab_arena_bytes = 0;
-
-  // Cross-process transport (runtime/fabric.h).  In a ranked rack this
-  // report covers the LOCAL rank only (merge across ranks for rack totals).
-  // transport_error is empty on a healthy run; a fabric fault (peer hangup
-  // mid-frame, connect refused, undecodable frame) lands here instead of
-  // hanging the run.
+  // Cross-process transport (runtime/fabric.h).  Empty on a healthy run; a
+  // fabric fault (peer hangup mid-frame, connect refused, undecodable frame)
+  // lands here instead of hanging the run.
   std::string transport_error;
-  std::uint64_t rpcs_sent = 0;  // ranked-mode remote-home misses served by RPC
 
-  // Hot-path allocation audit (params.track_allocs): operator-new calls across
-  // all node threads inside their steady-state windows.  0 is the invariant
-  // for SC + prefill_store runs; also 0 when the tracker is compiled out.
-  std::uint64_t hot_path_allocs = 0;
   // Per-interval per-node time series (params.profile; runtime/profiler.h).
   std::vector<ProfilerSample> profiler_samples;
 
-  // Distributed tracing (params.trace_path; runtime/tracing.h): span records
-  // captured / overwritten by ring wraparound across this process's nodes,
-  // and the export failure (if any) — a trace failure never fails the run.
-  std::uint64_t spans_recorded = 0;
-  std::uint64_t spans_dropped = 0;
+  // Trace export failure (params.trace_path; runtime/tracing.h), if any — a
+  // trace failure never fails the run.
   std::string trace_error;
 
   bool ok() const { return transport_error.empty(); }

@@ -10,6 +10,7 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdio>
 #include <numeric>
@@ -40,13 +41,12 @@ TEST(ProfilerTest, DeltasSumToTotalsUnderConcurrentIncrements) {
   std::vector<std::thread> writers;
   for (int n = 0; n < kNodes; ++n) {
     writers.emplace_back([&counters, n] {
+      NodeCounters c;
       for (std::uint64_t i = 1; i <= kOpsPerNode; ++i) {
-        counters[static_cast<std::size_t>(n)].ops.store(
-            i, std::memory_order_relaxed);
-        counters[static_cast<std::size_t>(n)].msgs_sent.store(
-            2 * i, std::memory_order_relaxed);
-        counters[static_cast<std::size_t>(n)].inbound_depth.store(
-            i % 7, std::memory_order_relaxed);
+        c.completed = i;
+        c.msgs_sent = 2 * i;
+        c.inbound_depth = i % 7;
+        counters[static_cast<std::size_t>(n)].Store(c);
       }
     });
   }
@@ -62,9 +62,9 @@ TEST(ProfilerTest, DeltasSumToTotalsUnderConcurrentIncrements) {
   for (const ProfilerSample& s : profiler.samples()) {
     ASSERT_GE(s.node, 0);
     ASSERT_LT(s.node, kNodes);
-    ops_sum[static_cast<std::size_t>(s.node)] += s.ops;
-    msgs_sum[static_cast<std::size_t>(s.node)] += s.msgs_sent;
-    EXPECT_LT(s.inbound_depth, 7u) << "gauges are reported verbatim";
+    ops_sum[static_cast<std::size_t>(s.node)] += s.counters.completed;
+    msgs_sum[static_cast<std::size_t>(s.node)] += s.counters.msgs_sent;
+    EXPECT_LT(s.counters.inbound_depth, 7u) << "gauges are reported verbatim";
   }
   for (int n = 0; n < kNodes; ++n) {
     EXPECT_EQ(ops_sum[static_cast<std::size_t>(n)], kOpsPerNode) << "node " << n;
@@ -97,18 +97,28 @@ TEST(ProfilerTest, CsvFileGetsHeaderAndOneRowPerSample) {
   opts.csv_path = path;
   Profiler profiler(opts, &counters);
   profiler.Start();
-  counters[0].ops.store(5, std::memory_order_relaxed);
-  counters[1].ops.store(9, std::memory_order_relaxed);
+  NodeCounters c;
+  c.completed = 5;
+  counters[0].Store(c);
+  c.completed = 9;
+  counters[1].Store(c);
   profiler.Stop();
 
   std::FILE* f = std::fopen(path.c_str(), "r");
   ASSERT_NE(f, nullptr);
-  char line[512];
+  char line[4096];
   ASSERT_NE(std::fgets(line, sizeof(line), f), nullptr);
   EXPECT_EQ(std::string(line), std::string(ProfilerCsvHeader()) + "\n");
+  const auto columns = [](const std::string& row) {
+    return std::count(row.begin(), row.end(), ',') + 1;
+  };
+  const auto header_columns = columns(line);
+  EXPECT_EQ(header_columns, static_cast<std::ptrdiff_t>(2 + kNumNodeCounters))
+      << "ts_ms, node and one column per table counter";
   std::size_t rows = 0;
   while (std::fgets(line, sizeof(line), f) != nullptr) {
     ++rows;
+    EXPECT_EQ(columns(line), header_columns) << line;
   }
   std::fclose(f);
   std::remove(path.c_str());
@@ -185,8 +195,6 @@ TEST(ProfilerTest, RunLoopAndProfilingParamsRoundTripThroughBlob) {
   LiveRackParams p;
   p.num_nodes = 4;
   p.pinning = true;
-  p.pin_core_base = 3;
-  p.pin_stride = 2;
   p.busy_poll = true;
   p.profile = true;
   p.profile_interval_ms = 125;
@@ -203,8 +211,6 @@ TEST(ProfilerTest, RunLoopAndProfilingParamsRoundTripThroughBlob) {
   std::string error;
   ASSERT_TRUE(DecodeRackParams(blob, &out, &error)) << error;
   EXPECT_TRUE(out.pinning);
-  EXPECT_EQ(out.pin_core_base, 3);
-  EXPECT_EQ(out.pin_stride, 2);
   EXPECT_TRUE(out.busy_poll);
   EXPECT_TRUE(out.profile);
   EXPECT_EQ(out.profile_interval_ms, 125u);

@@ -29,6 +29,12 @@ Tracing is designed to be near-free (docs/OBSERVABILITY.md): any entry whose
 `trace_overhead_pct` exceeds 5 is a HARD warning — the traced hot path got
 measurably slower than the untraced one, which defeats always-on sampling.
 
+Every batch a live rack ships closes for exactly one reason (size cap, op
+boundary, idle backstop or flush deadline), so a live entry whose four
+`flushes_*` fields do not sum to its `batches_sent` is a HARD warning — a
+coalescer counter lost or double-counted a flush (docs/OBSERVABILITY.md,
+"Node counters").  Entries without those fields (simulator runs) are skipped.
+
 The L1 tail cache must pay for itself (docs/ARCHITECTURE.md, "hierarchical
 caching"): live_throughput's per-node-skew pair stamps the L1-on entry with
 the paired off-run's whole-rack rate as `l1_off_mrps`.  Both halves of the
@@ -49,6 +55,7 @@ FIELDS = [
 ]
 WARN_PCT = 10.0
 TRACE_OVERHEAD_HARD_PCT = 5.0
+FLUSH_CAUSES = ("size", "boundary", "idle", "deadline")
 
 
 def load_dir(path):
@@ -146,6 +153,14 @@ def main():
                     f"{short} `{label}`: trace_overhead_pct={overhead:.1f} "
                     f"(limit {TRACE_OVERHEAD_HARD_PCT:.0f}) — sampled tracing "
                     "slowed the hot path beyond its budget"
+                )
+            flushes = [cur_entry.get(f"flushes_{cause}") for cause in FLUSH_CAUSES]
+            batches = cur_entry.get("batches_sent")
+            if batches is not None and None not in flushes and sum(flushes) != batches:
+                hard.append(
+                    f"{short} `{label}`: flushes_* sum to {sum(flushes):g} but "
+                    f"batches_sent={batches:g} — every shipped batch must have "
+                    "exactly one flush cause"
                 )
             l1_off = cur_entry.get("l1_off_mrps")
             if l1_off:
