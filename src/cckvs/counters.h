@@ -60,6 +60,8 @@
        "Remote-home misses sent over RPC (ranked racks)")                               \
   LIVE(sc_credit_stalls, kFlow, "ops",                                                  \
        "SC write-hits parked at the credit throttle")                                   \
+  LIVE(window_breaks, kFlow, "breaks",                                                  \
+       "Issue windows ended early to ship and poll Lin protocol traffic")               \
   LIVE(msgs_sent, kFlow, "msgs",                                                        \
        "Messages the coalescer shipped")                                                \
   LIVE(batches_sent, kFlow, "batches",                                                  \

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <thread>
 #include <utility>
 
@@ -38,6 +39,7 @@ LiveNode::LiveNode(LiveRack* rack, NodeId id, WorkloadGenerator gen)
   }
   record_history_ = p.record_history;
   busy_poll_ = p.busy_poll;
+  lin_ = p.consistency == ConsistencyModel::kLin;
   track_allocs_ = p.track_allocs;
   if (p.profile) {
     pub_ = &rack->worker_counters(id);
@@ -129,13 +131,22 @@ void LiveNode::Run(StopToken stop) {
           tracer_->Instant(SpanKind::kStateDump, 0, 0, core_.completed(), a1);
         }
         if (debug_state) {
+          // Credit-parked sends per peer, in a fixed buffer so the dump
+          // allocates nothing (snprintf truncates a very wide rack).
+          char parked[128] = "";
+          for (NodeId peer = 0; peer < static_cast<NodeId>(rack_->params().num_nodes);
+               ++peer) {
+            const std::size_t len = std::strlen(parked);
+            std::snprintf(parked + len, sizeof(parked) - len, peer == 0 ? "%zu" : ",%zu",
+                          ep_->parked_sends(peer));
+          }
           std::fprintf(stderr,
-                       "[node %d] halted=%d idle=%zu/%zu parked_sc=%zu gated=%zu "
-                       "rpc_out=%zu quiesc=%d pending=%d engineq=%d "
+                       "[node %d] halted=%d halt=%d idle=%zu/%zu parked_sc=%zu gated=%zu "
+                       "rpc_out=%zu parked_sends=[%s] quiesc=%d pending=%d engineq=%d "
                        "completed=%llu sent=%llu proc=%llu round=%u open=%d stat=%zu\n",
-                       int{id_}, halted_, idle_sessions_, sessions_.size(),
+                       int{id_}, halted_, halt_, idle_sessions_, sessions_.size(),
                        parked_sc_writes_.size(), parked_gated_.size(),
-                       rpc_outstanding_,
+                       rpc_outstanding_, parked,
                        LocallyQuiescent(), !ep_->NothingPending(),
                        core_.engine()->Quiescent(),
                        static_cast<unsigned long long>(core_.completed()),
@@ -169,10 +180,10 @@ void LiveNode::Run(StopToken stop) {
       AnswerProbe();
     }
 
-    // Op boundary: everything this iteration produced — acks for the polled
-    // invalidations, updates/invalidations/epoch traffic from the ops above —
-    // ships now, one batch per peer (or, under a flush deadline, once its
-    // hold expires).
+    // Op boundary: what this iteration left open — acks for the polled
+    // invalidations, updates/invalidations/epoch traffic from the ops above,
+    // minus what a Lin window break already shipped — ships now, one batch
+    // per peer (or, under a flush deadline, once its hold expires).
     ep_->FlushBatches(FlushCause::kBoundary);
 
     if (StepTermination()) {
@@ -457,8 +468,20 @@ bool LiveNode::FillIdleSessions() {
     }
   }
   // Pass 3: issue in slot order.  Every drawn op is issued in this pass.
-  for (const BatchEntry& e : issue_batch_) {
-    IssueOp(e.slot);
+  // Under Lin, a write completes only after an invalidate -> ack -> update
+  // round trip (§5.2), so its traffic must not wait out the rest of the
+  // window (~32 issues, tens of µs).  While a session waits on the engine or
+  // a batch is open, the window breaks after each issue: ship what is open
+  // (a boundary flush, so a flush deadline still holds young batches) and
+  // poll once before the next issue.  SC and read-only Lin never break.
+  for (std::size_t i = 0; i < issue_batch_.size(); ++i) {
+    IssueOp(issue_batch_[i].slot);
+    if (lin_ && i + 1 < issue_batch_.size() &&
+        (engine_waits_ != 0 || !ep_->coalescer().AllEmpty())) {
+      ++counts_.window_breaks;
+      ep_->FlushBatches(FlushCause::kBoundary);
+      PollInbound(kPollBatch);
+    }
   }
   return true;
 }
@@ -508,6 +531,7 @@ void LiveNode::RouteOp(std::uint32_t slot) {
       CompleteOp(slot, read_scratch_, ts, Route::kCache);
       return;
     case Route::kCacheBlocked:
+      MarkEngineWait(slot);
       return;  // the parked-reader callback completes the op
     case Route::kCacheWrite:
       if (core_.engine()->model() == ConsistencyModel::kSc &&
@@ -594,7 +618,14 @@ void LiveNode::StartCacheWrite(std::uint32_t slot) {
     // The key churned out of the hot set while this write sat parked on
     // credits; take the miss path instead.
     RouteMissOp(slot);
+  } else if (!sess.idle) {
+    MarkEngineWait(slot);  // a Lin write: its last ack completes it
   }
+}
+
+void LiveNode::MarkEngineWait(std::uint32_t slot) {
+  sessions_[slot].engine_wait = true;
+  ++engine_waits_;
 }
 
 void LiveNode::RetryParkedScWrites() {
@@ -833,6 +864,10 @@ void LiveNode::CompleteOp(std::uint32_t slot, const Value& read_value, Timestamp
   // measured latency, as the history stamp above.
   core_.CompleteOp(sess.op, route, read_value, ts);
 
+  if (sess.engine_wait) {
+    sess.engine_wait = false;
+    --engine_waits_;
+  }
   sess.idle = true;
   ++idle_sessions_;
   // Closed loop: the next op is issued by the run loop's FillIdleSessions(),

@@ -81,6 +81,7 @@ class LiveNode final : private HotSetHost {
     std::uint64_t invoke_cycles = 0;  // rdtsc stamp; feeds the latency histogram
     SessionId id = 0;
     bool idle = true;
+    bool engine_wait = false;  // counted in engine_waits_ until CompleteOp
     // --- tracing context (runtime/tracing.h; all 0 when the op is unsampled) ---
     std::uint64_t trace_id = 0;
     std::uint64_t op_span = 0;            // root span; completes in CompleteOp
@@ -153,6 +154,9 @@ class LiveNode final : private HotSetHost {
   bool RetryGatedOps();
   void CompleteOp(std::uint32_t slot, const Value& read_value, Timestamp ts,
                   Route route);
+  // The slot's op now waits on the engine: a Lin write awaiting acks, or a
+  // read parked on a non-Valid entry.
+  void MarkEngineWait(std::uint32_t slot);
   bool AllSessionsIdle() const { return idle_sessions_ == sessions_.size(); }
   // Strictly increasing per-thread history clock (ties would make the
   // checkers' per-session invoke sort ambiguous).
@@ -204,6 +208,10 @@ class LiveNode final : private HotSetHost {
 
   std::vector<Session> sessions_;
   std::size_t idle_sessions_ = 0;
+  // Sessions waiting on the engine (MarkEngineWait).  Under Lin, these and
+  // any open batch end the issue window early (FillIdleSessions, pass 3).
+  std::size_t engine_waits_ = 0;
+  bool lin_ = false;  // params.consistency == kLin
   // One FillIdleSessions pass: the drawn slots in slot order, each with its
   // home shard when that shard is in this address space (else nullptr: the
   // miss goes over RPC and there is nothing to prefetch).  Reserved to the

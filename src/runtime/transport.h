@@ -203,6 +203,9 @@ class LiveTransport {
     // sits in an open batch.
     bool NothingPending() const;
 
+    // Broadcasts parked for `peer` waiting for credits (the stall dump).
+    std::size_t parked_sends(NodeId peer) const { return pending_[peer].size(); }
+
     // Sleeps until a batch arrives or `timeout` elapses (idle backoff).
     // Flushes open batches first (expired ones only under a flush deadline,
     // which also caps the sleep), so no message can sleep inside a batch

@@ -199,6 +199,7 @@ TEST(CounterIdentities, CoalescedScRackWithServingL1) {
   CheckIdentities(p, &r);
   EXPECT_GT(r.rack.l1_hits, 0u) << "the L1 identities should cover a serving L1";
   EXPECT_GT(r.rack.l1_fills, 0u);
+  EXPECT_EQ(r.window_breaks, 0u) << "only Lin ends an issue window early";
 }
 
 TEST(CounterIdentities, UncoalescedScRack) {
@@ -206,6 +207,7 @@ TEST(CounterIdentities, UncoalescedScRack) {
   p.coalescing = false;
   LiveReport r;
   CheckIdentities(p, &r);
+  EXPECT_EQ(r.window_breaks, 0u) << "only Lin ends an issue window early";
 }
 
 TEST(CounterIdentities, ShmLinRack) {
@@ -217,6 +219,9 @@ TEST(CounterIdentities, ShmLinRack) {
   LiveReport r;
   CheckIdentities(p, &r);
   EXPECT_GT(r.rack.invalidations_sent, 0u) << "Lin writes should invalidate";
+  // Pending Lin writes break the issue window; the breaks ship as boundary
+  // flushes, inside the flush-cause identity CheckIdentities asserts.
+  EXPECT_GT(r.window_breaks, 0u) << "pending Lin writes should break the window";
 }
 
 // The simulator and the live rack count hits the same way: on read-only SC

@@ -97,7 +97,8 @@ enum class Extra {
   kL1Tail,
   // Coalescing with a 20 µs flush deadline: boundary flushes hold sub-cap
   // batches, so the halt that ends the run must ship at once or the peers
-  // probe forever.
+  // probe forever.  Under Lin the mid-window breaks flush too, and must hold
+  // young batches just the same.
   kDeadlineFlush,
 };
 
@@ -192,6 +193,14 @@ TEST(MultiprocRack, ShmFourRanksLinWithL1Tail) {
 
 TEST(MultiprocRack, ShmFourRanksScWithDeadlineFlush) {
   RunAndCertify(TransportKind::kShm, ConsistencyModel::kSc, "shm_sc_deadline",
+                Extra::kDeadlineFlush);
+}
+
+// The Lin twin: window breaks flush under the deadline (expired batches
+// only), and their mid-window polls take §6.1 RPC responses and gated
+// bounces between issues.
+TEST(MultiprocRack, ShmFourRanksLinWithDeadlineFlush) {
+  RunAndCertify(TransportKind::kShm, ConsistencyModel::kLin, "shm_lin_deadline",
                 Extra::kDeadlineFlush);
 }
 
