@@ -20,9 +20,10 @@
 //
 // Replacement is pluggable (cache/replacement.h): the cache owns the
 // key->slot index and slot storage; the policy ranks slots.  Everything is
-// preallocated — open-addressing index (backward-shift deletion, no
-// tombstones), slot arrays, and Value slots reserved at value_bytes — so a
-// warmed L1 runs allocation-free inside the alloc_assert audit.
+// preallocated — the key->slot FlatKeyIndex (common/flat_key_index.h, sized
+// for the capacity and never grown), slot arrays, and Value slots reserved at
+// value_bytes — so a warmed L1 runs allocation-free inside the alloc_assert
+// audit.
 
 #ifndef CCKVS_CACHE_L1_TAIL_H_
 #define CCKVS_CACHE_L1_TAIL_H_
@@ -32,6 +33,7 @@
 #include <vector>
 
 #include "src/cache/replacement.h"
+#include "src/common/flat_key_index.h"
 #include "src/common/types.h"
 
 namespace cckvs {
@@ -74,34 +76,23 @@ class L1TailCache {
   std::vector<Key> Keys() const;
 
   std::size_t capacity() const { return capacity_; }
-  std::size_t size() const { return live_; }
+  std::size_t size() const { return index_.size(); }
   const char* policy_name() const { return policy_->name(); }
   const Stats& stats() const { return stats_; }
 
  private:
-  static constexpr std::int32_t kEmpty = -1;
-
-  std::size_t IndexHome(Key key) const;
-  // Probe position holding `key`, or the table size when absent.
-  std::size_t FindIndexPos(Key key) const;
-  void IndexInsert(Key key, std::size_t slot);
-  void IndexEraseAt(std::size_t pos);
-  void EraseSlot(std::size_t slot);
+  // Drops the resident at index position `pos` and frees its slot.
+  void EraseAt(std::size_t pos);
 
   std::size_t capacity_;
   std::unique_ptr<ReplacementPolicy> policy_;
-
-  // Open-addressing index: position -> slot id (kEmpty = free).  Sized to a
-  // power of two >= 2x capacity, so load factor stays <= 0.5.
-  std::vector<std::int32_t> index_;
-  std::size_t index_mask_;
+  FlatKeyIndex index_;  // key -> slot
 
   // Slot storage; free slots are recycled LIFO through free_.
   std::vector<Key> keys_;
   std::vector<Value> values_;
   std::vector<Timestamp> ts_;
   std::vector<std::uint32_t> free_;
-  std::size_t live_ = 0;
 
   Stats stats_;
 };

@@ -1,34 +1,58 @@
 #include "src/cache/symmetric_cache.h"
 
-#include <unordered_set>
+#include <algorithm>
 
 #include "src/common/check.h"
 
 namespace cckvs {
+namespace {
 
-SymmetricCache::SymmetricCache(std::size_t capacity) : capacity_(capacity) {
-  CCKVS_CHECK_GE(capacity, 1u);
-  entries_.reserve(capacity * 2);
-}
-
-bool SymmetricCache::Probe(Key key) const {
-  ++stats_.probes;
-  if (entries_.count(key) != 0) {
-    ++stats_.hits;
-    return true;
+// Entries per pool chunk: the capacity rounded up to a power of two, within
+// [8, 256], so small caches (tests, the model checker) allocate little and
+// large ones grow past capacity a chunk of 256 entries at a time.
+unsigned ChunkShiftFor(std::size_t capacity) {
+  unsigned shift = 3;
+  while (shift < 8 && (std::size_t{1} << shift) < capacity) {
+    ++shift;
   }
-  ++stats_.misses;
-  return false;
+  return shift;
 }
 
-CacheEntry* SymmetricCache::Find(Key key) {
-  auto it = entries_.find(key);
-  return it == entries_.end() ? nullptr : &it->second;
+}  // namespace
+
+SymmetricCache::SymmetricCache(std::size_t capacity)
+    : capacity_(capacity),
+      index_(capacity),
+      chunk_shift_(ChunkShiftFor(capacity)),
+      chunk_mask_((1u << chunk_shift_) - 1) {
+  CCKVS_CHECK_GE(capacity, 1u);
 }
 
-const CacheEntry* SymmetricCache::Find(Key key) const {
-  auto it = entries_.find(key);
-  return it == entries_.end() ? nullptr : &it->second;
+void SymmetricCache::Admit(Key key) {
+  if (index_.FindPos(key) != FlatKeyIndex::kNoPos) {
+    return;
+  }
+  if (free_.empty()) {
+    // A new chunk; the old ones stay put, so resident entries never move.
+    const auto base = static_cast<std::uint32_t>(chunks_.size() << chunk_shift_);
+    chunks_.push_back(std::make_unique<CacheEntry[]>(chunk_mask_ + 1));
+    for (std::uint32_t i = chunk_mask_ + 1; i-- > 0;) {
+      free_.push_back(base + i);  // lowest slot on top
+    }
+  }
+  if (index_.size() == index_.max_size()) {
+    index_.Grow();
+  }
+  const std::uint32_t slot = free_.back();
+  free_.pop_back();
+  index_.Insert(key, slot);  // the slot's entry is default: kFilling
+}
+
+void SymmetricCache::EraseAt(std::size_t pos) {
+  const std::uint32_t slot = index_.value_at(pos);
+  index_.EraseAt(pos);
+  EntryAt(slot) = CacheEntry{};
+  free_.push_back(slot);
 }
 
 void SymmetricCache::Fill(Key key, const Value& value, Timestamp ts) {
@@ -48,68 +72,65 @@ void SymmetricCache::Fill(Key key, const Value& value, Timestamp ts) {
 std::vector<SymmetricCache::Eviction> SymmetricCache::InstallHotSet(
     const std::vector<Key>& keys) {
   CCKVS_CHECK_LE(keys.size(), capacity_);
-  std::unordered_set<Key> fresh(keys.begin(), keys.end());
+  std::vector<Key> fresh = keys;
+  std::sort(fresh.begin(), fresh.end());
   std::vector<Eviction> dirty;
-  for (auto it = entries_.begin(); it != entries_.end();) {
-    if (fresh.count(it->first) == 0) {
-      ++stats_.evictions;
-      if (it->second.dirty) {
-        ++stats_.dirty_evictions;
-        // Flush the installed (value, value_ts) pair: for entries in transient
-        // states the header timestamp may belong to a newer, not-yet-installed
-        // write, and pairing it with the old value would corrupt the shard.
-        dirty.push_back(Eviction{it->first, it->second.value, it->second.value_ts});
-      }
-      it = entries_.erase(it);
-    } else {
-      ++it;
+  for (const Key key : Keys()) {
+    if (std::binary_search(fresh.begin(), fresh.end(), key)) {
+      continue;
     }
+    const std::size_t pos = index_.FindPos(key);
+    CacheEntry& entry = EntryAt(index_.value_at(pos));
+    ++stats_.evictions;
+    if (entry.dirty) {
+      ++stats_.dirty_evictions;
+      // Flush the installed (value, value_ts) pair: for entries in transient
+      // states the header timestamp may belong to a newer, not-yet-installed
+      // write, and pairing it with the old value would corrupt the shard.
+      dirty.push_back(Eviction{key, std::move(entry.value), entry.value_ts});
+    }
+    EraseAt(pos);
   }
   for (const Key key : keys) {
-    if (entries_.find(key) == entries_.end()) {
-      entries_.emplace(key, CacheEntry{});
-    }
+    Admit(key);
   }
   return dirty;
 }
 
-void SymmetricCache::Admit(Key key) {
-  entries_.try_emplace(key);  // default CacheEntry starts in kFilling
-}
-
 bool SymmetricCache::Evict(Key key, Eviction* dirty_out) {
-  auto it = entries_.find(key);
-  if (it == entries_.end()) {
+  const std::size_t pos = index_.FindPos(key);
+  if (pos == FlatKeyIndex::kNoPos) {
     return false;
   }
+  CacheEntry& entry = EntryAt(index_.value_at(pos));
   ++stats_.evictions;
-  const bool dirty = it->second.dirty;
+  const bool dirty = entry.dirty;
   if (dirty) {
     ++stats_.dirty_evictions;
     // As in InstallHotSet: flush the installed (value, value_ts) pair, never
     // the header timestamp of a transient state.
-    *dirty_out = Eviction{key, std::move(it->second.value), it->second.value_ts};
+    *dirty_out = Eviction{key, std::move(entry.value), entry.value_ts};
   }
-  entries_.erase(it);
+  EraseAt(pos);
   return dirty;
 }
 
 std::vector<Key> SymmetricCache::Keys() const {
   std::vector<Key> keys;
-  keys.reserve(entries_.size());
-  for (const auto& [key, entry] : entries_) {
-    keys.push_back(key);
-  }
+  keys.reserve(index_.size());
+  index_.ForEach([&keys](Key key, std::uint32_t) { keys.push_back(key); });
+  std::sort(keys.begin(), keys.end());
   return keys;
 }
 
 std::vector<Key> SymmetricCache::PendingFills() const {
   std::vector<Key> pending;
-  for (const auto& [key, entry] : entries_) {
-    if (entry.state() == CacheState::kFilling) {
+  index_.ForEach([this, &pending](Key key, std::uint32_t slot) {
+    if (EntryAt(slot).state() == CacheState::kFilling) {
       pending.push_back(key);
     }
-  }
+  });
+  std::sort(pending.begin(), pending.end());
   return pending;
 }
 

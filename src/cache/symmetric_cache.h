@@ -12,18 +12,28 @@
 // transient-write bookkeeping a real node keeps in thread-private structures
 // (pending/shadow values) lives beside the header.
 //
+// Index and storage: the shared FlatKeyIndex (common/flat_key_index.h), the
+// same probing code the L1 tier and the Space-Saving sketch use, maps each
+// key to a slot of a chunked entry pool.  Chunks are allocated on demand and
+// never move or shrink, and a slot keeps its entry while the key is resident,
+// so a Find pointer stays valid across Admit past capacity_ (deferred
+// evictions) and across the eviction of other keys; freed slots are recycled
+// LIFO.  A probe is one multiplicative hash and a scan of 16-byte {key, slot}
+// cells.
+//
 // Concurrency: within the rack simulation a node's engine is serialized by the
 // event loop, so cache operations here are not internally locked; the CRCW
 // seqlock data path the paper measures is implemented (and stress-tested) in
-// store::Partition, from which the cache "inherits its structure".
+// store::Partition.
 
 #ifndef CCKVS_CACHE_SYMMETRIC_CACHE_H_
 #define CCKVS_CACHE_SYMMETRIC_CACHE_H_
 
 #include <cstdint>
-#include <unordered_map>
+#include <memory>
 #include <vector>
 
+#include "src/common/flat_key_index.h"
 #include "src/common/types.h"
 
 namespace cckvs {
@@ -104,12 +114,26 @@ class SymmetricCache {
   explicit SymmetricCache(std::size_t capacity);
 
   // Hot-set membership probe (counted in stats).
-  bool Probe(Key key) const;
+  bool Probe(Key key) const {
+    ++stats_.probes;
+    if (index_.FindPos(key) != FlatKeyIndex::kNoPos) {
+      ++stats_.hits;
+      return true;
+    }
+    ++stats_.misses;
+    return false;
+  }
 
   // Entry access; nullptr when the key is not in the hot set.  Does not count
   // as a probe.
-  CacheEntry* Find(Key key);
-  const CacheEntry* Find(Key key) const;
+  CacheEntry* Find(Key key) {
+    const std::uint32_t slot = index_.Find(key);
+    return slot == FlatKeyIndex::kNone ? nullptr : &EntryAt(slot);
+  }
+  const CacheEntry* Find(Key key) const {
+    const std::uint32_t slot = index_.Find(key);
+    return slot == FlatKeyIndex::kNone ? nullptr : &EntryAt(slot);
+  }
 
   // Installs the value of a hot key (initial fill or epoch fill).
   void Fill(Key key, const Value& value, Timestamp ts);
@@ -122,8 +146,9 @@ class SymmetricCache {
   };
 
   // Replaces the hot set.  Keys leaving the set are evicted (dirty ones are
-  // returned for write-back, §4); keys entering start in kFilling until
-  // Fill() provides their value.  Returns the dirty evictions.
+  // returned for write-back, §4, in ascending key order); keys entering start
+  // in kFilling until Fill() provides their value.  Returns the dirty
+  // evictions.
   std::vector<Eviction> InstallHotSet(const std::vector<Key>& keys);
 
   // Per-key membership primitives, used by the epoch machinery
@@ -135,19 +160,34 @@ class SymmetricCache {
   // the departing entry carried an unflushed write.
   bool Evict(Key key, Eviction* dirty_out);
 
-  // Current membership, unordered.
+  // Current membership, in ascending key order (callers that act on every
+  // member, such as an epoch's evictions, must not depend on index layout).
   std::vector<Key> Keys() const;
 
-  // Keys currently in kFilling state (need a fetch from their home shard).
+  // Keys currently in kFilling state (need a fetch from their home shard),
+  // ascending.
   std::vector<Key> PendingFills() const;
 
   std::size_t capacity() const { return capacity_; }
-  std::size_t size() const { return entries_.size(); }
+  std::size_t size() const { return index_.size(); }
   const CacheStats& stats() const { return stats_; }
 
  private:
+  CacheEntry& EntryAt(std::uint32_t slot) {
+    return chunks_[slot >> chunk_shift_][slot & chunk_mask_];
+  }
+  const CacheEntry& EntryAt(std::uint32_t slot) const {
+    return chunks_[slot >> chunk_shift_][slot & chunk_mask_];
+  }
+  // Removes the entry at index position `pos`; its slot is reset and freed.
+  void EraseAt(std::size_t pos);
+
   std::size_t capacity_;
-  std::unordered_map<Key, CacheEntry> entries_;
+  FlatKeyIndex index_;  // key -> pool slot
+  unsigned chunk_shift_;
+  std::uint32_t chunk_mask_;
+  std::vector<std::unique_ptr<CacheEntry[]>> chunks_;
+  std::vector<std::uint32_t> free_;  // LIFO free slots of allocated chunks
   mutable CacheStats stats_;
 };
 

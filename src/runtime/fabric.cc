@@ -46,7 +46,8 @@ class InprocFabric final : public TransportFabric {
         std::this_thread::sleep_for(std::chrono::microseconds(50));
       }
     }
-    lane.pushes.fetch_add(1, std::memory_order_relaxed);
+    lane.pushes.store(lane.pushes.load(std::memory_order_relaxed) + 1,
+                      std::memory_order_relaxed);  // src is the only writer
     doorbells_[to]->Ring();
   }
 
@@ -122,7 +123,9 @@ class InprocFabric final : public TransportFabric {
     explicit Lane(std::size_t capacity) : batches(capacity), returns(capacity) {}
     SpscRing<WireBatch> batches;  // src pushes, dst drains
     SpscRing<WireBatch> returns;  // dst releases drained batches, src reclaims
-    std::atomic<std::uint64_t> pushes{0};
+    // Written by src only, on a line of their own: never beside the return
+    // ring's dst-written tail.
+    alignas(64) std::atomic<std::uint64_t> pushes{0};
     std::atomic<std::uint64_t> full_waits{0};
   };
 

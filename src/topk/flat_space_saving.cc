@@ -3,83 +3,22 @@
 #include <algorithm>
 
 #include "src/common/check.h"
-#include "src/common/hash.h"
 
 namespace cckvs {
-namespace {
-
-std::size_t NextPow2(std::size_t n) {
-  std::size_t p = 1;
-  while (p < n) {
-    p <<= 1;
-  }
-  return p;
-}
-
-}  // namespace
 
 FlatSpaceSaving::FlatSpaceSaving(std::size_t capacity)
     : capacity_(capacity > 0 ? capacity : 1),
-      index_(NextPow2(capacity_ * 2), kEmpty),
-      index_mask_(index_.size() - 1) {
+      index_(capacity_),
+      index_pos_of_(capacity_, 0) {
   heap_.reserve(capacity_);
-  index_pos_of_.assign(capacity_, kEmpty);
-}
-
-std::size_t FlatSpaceSaving::IndexHomePos(Key key) const {
-  return static_cast<std::size_t>(HashKey(key)) & index_mask_;
-}
-
-std::size_t FlatSpaceSaving::FindIndexPos(Key key) const {
-  std::size_t pos = IndexHomePos(key);
-  while (index_[pos] != kEmpty) {
-    if (heap_[static_cast<std::size_t>(index_[pos])].key == key) {
-      return pos;
-    }
-    pos = (pos + 1) & index_mask_;
-  }
-  return index_.size();
-}
-
-void FlatSpaceSaving::IndexInsert(Key key, std::size_t heap_pos) {
-  std::size_t pos = IndexHomePos(key);
-  while (index_[pos] != kEmpty) {
-    pos = (pos + 1) & index_mask_;
-  }
-  index_[pos] = static_cast<std::int32_t>(heap_pos);
-  index_pos_of_[heap_pos] = static_cast<std::int32_t>(pos);
-}
-
-// Same backward-shift deletion as cache/l1_tail.cc: no tombstones.
-void FlatSpaceSaving::IndexEraseAt(std::size_t pos) {
-  index_[pos] = kEmpty;
-  std::size_t hole = pos;
-  std::size_t probe = pos;
-  while (true) {
-    probe = (probe + 1) & index_mask_;
-    if (index_[probe] == kEmpty) {
-      return;
-    }
-    const std::size_t home =
-        IndexHomePos(heap_[static_cast<std::size_t>(index_[probe])].key);
-    const bool reachable = hole < probe ? (home > hole && home <= probe)
-                                        : (home > hole || home <= probe);
-    if (!reachable) {
-      index_[hole] = index_[probe];
-      index_pos_of_[static_cast<std::size_t>(index_[probe])] =
-          static_cast<std::int32_t>(hole);
-      index_[probe] = kEmpty;
-      hole = probe;
-    }
-  }
 }
 
 void FlatSpaceSaving::Swap(std::size_t a, std::size_t b) {
-  const std::int32_t pa = index_pos_of_[a];
-  const std::int32_t pb = index_pos_of_[b];
+  const std::uint32_t pa = index_pos_of_[a];
+  const std::uint32_t pb = index_pos_of_[b];
   std::swap(heap_[a], heap_[b]);
-  index_[static_cast<std::size_t>(pa)] = static_cast<std::int32_t>(b);
-  index_[static_cast<std::size_t>(pb)] = static_cast<std::int32_t>(a);
+  index_.set_value_at(pa, static_cast<std::uint32_t>(b));
+  index_.set_value_at(pb, static_cast<std::uint32_t>(a));
   index_pos_of_[a] = pb;
   index_pos_of_[b] = pa;
 }
@@ -116,9 +55,7 @@ void FlatSpaceSaving::SiftDown(std::size_t heap_pos) {
 }
 
 std::uint64_t FlatSpaceSaving::Offer(Key key, std::uint64_t* guaranteed) {
-  const std::size_t pos = FindIndexPos(key);
-  if (pos != index_.size()) {
-    const std::size_t hp = static_cast<std::size_t>(index_[pos]);
+  if (const std::uint32_t hp = index_.Find(key); hp != FlatKeyIndex::kNone) {
     Entry& e = heap_[hp];
     const std::uint64_t count = ++e.count;
     if (guaranteed != nullptr) {
@@ -128,9 +65,10 @@ std::uint64_t FlatSpaceSaving::Offer(Key key, std::uint64_t* guaranteed) {
     return count;
   }
   if (heap_.size() < capacity_) {
+    const auto hp = static_cast<std::uint32_t>(heap_.size());
     heap_.push_back(Entry{key, 1, 0});  // within the reserve: no allocation
-    IndexInsert(key, heap_.size() - 1);
-    SiftUp(heap_.size() - 1);
+    index_pos_of_[hp] = static_cast<std::uint32_t>(index_.Insert(key, hp));
+    SiftUp(hp);
     if (guaranteed != nullptr) {
       *guaranteed = 1;
     }
@@ -139,13 +77,15 @@ std::uint64_t FlatSpaceSaving::Offer(Key key, std::uint64_t* guaranteed) {
   // Space-Saving replacement: the newcomer takes over the minimum counter
   // and inherits its count as the error bound.
   Entry& min = heap_[0];
-  const std::size_t old_pos = static_cast<std::size_t>(index_pos_of_[0]);
-  CCKVS_CHECK(index_[old_pos] == 0);
-  IndexEraseAt(old_pos);
+  const std::size_t old_pos = index_pos_of_[0];
+  CCKVS_CHECK(index_.value_at(old_pos) == 0);
+  index_.EraseAt(old_pos, [this](std::uint32_t hp, std::size_t new_pos) {
+    index_pos_of_[hp] = static_cast<std::uint32_t>(new_pos);
+  });
   min.error = min.count;
   min.count += 1;
   min.key = key;
-  IndexInsert(key, 0);
+  index_pos_of_[0] = static_cast<std::uint32_t>(index_.Insert(key, 0));
   const std::uint64_t count = min.count;
   if (guaranteed != nullptr) {
     *guaranteed = 1;
@@ -163,10 +103,8 @@ void FlatSpaceSaving::DecayHalve() {
 }
 
 std::uint64_t FlatSpaceSaving::EstimateOf(Key key) const {
-  const std::size_t pos = FindIndexPos(key);
-  return pos == index_.size()
-             ? 0
-             : heap_[static_cast<std::size_t>(index_[pos])].count;
+  const std::uint32_t hp = index_.Find(key);
+  return hp == FlatKeyIndex::kNone ? 0 : heap_[hp].count;
 }
 
 std::vector<FlatSpaceSaving::Entry> FlatSpaceSaving::TopK(std::size_t k) const {

@@ -11,8 +11,8 @@
 // count overestimates by at most the minimum counter.  The replacement rule
 // evicts the minimum counter and the newcomer inherits its count as error.
 // Everything is stored flat and preallocated: an array min-heap of counters
-// plus an open-addressing key->heap-position index with backward-shift
-// deletion.  After construction no operation allocates.
+// plus a key->heap-position FlatKeyIndex (common/flat_key_index.h), sized for
+// the capacity and never grown.  After construction no operation allocates.
 //
 // DecayHalve() ages the sketch for drifting per-node popularity: halving
 // every count is monotone, so the heap order is preserved and aging is O(m).
@@ -23,6 +23,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "src/common/flat_key_index.h"
 #include "src/common/types.h"
 
 namespace cckvs {
@@ -60,11 +61,6 @@ class FlatSpaceSaving {
   std::size_t size() const { return heap_.size(); }
 
  private:
-  std::size_t IndexHomePos(Key key) const;
-  std::size_t FindIndexPos(Key key) const;  // index_.size() when absent
-  void IndexInsert(Key key, std::size_t heap_pos);
-  void IndexEraseAt(std::size_t pos);
-  void SetHeapSlot(std::size_t heap_pos, const Entry& e);
   void SiftUp(std::size_t heap_pos);
   void SiftDown(std::size_t heap_pos);
   void Swap(std::size_t a, std::size_t b);
@@ -72,17 +68,16 @@ class FlatSpaceSaving {
   std::size_t capacity_;
   std::vector<Entry> heap_;  // min-heap by count
 
-  // Open-addressing index: position -> heap position (-1 = free), updated on
-  // every heap swap so lookups stay O(probe).
-  static constexpr std::int32_t kEmpty = -1;
-  std::vector<std::int32_t> index_;
-  std::size_t index_mask_;
+  // key -> heap position, rewritten on every heap swap so lookups stay
+  // O(probe).
+  FlatKeyIndex index_;
 
   // Backlink: heap position -> index position, so a heap Swap is two O(1)
   // index writes instead of two hash probes.  A saturated sketch sifts the
   // replaced root down the whole heap on most tail offers — with probing
-  // swaps that is 2·log(m) hash walks on the hot miss path.
-  std::vector<std::int32_t> index_pos_of_;
+  // swaps that is 2·log(m) hash walks on the hot miss path.  The index's
+  // backward shift reports each cell it moves, keeping these current.
+  std::vector<std::uint32_t> index_pos_of_;
 };
 
 }  // namespace cckvs
